@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .metrics import AIWCMetrics
@@ -85,13 +84,16 @@ def analyze(metrics: list[AIWCMetrics]) -> DiversityReport:
         j = int(np.argmin(row))
         nearest[name] = (names[j], float(row[j]))
 
-    graph = nx.Graph()
-    for i, a in enumerate(names):
-        for j in range(i + 1, len(names)):
-            graph.add_edge(a, names[j], weight=float(distances[i, j]))
-    mst = nx.minimum_spanning_tree(graph)
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    # csgraph reads a (near-)zero weight as "no edge".  Every spanning
+    # tree has n - 1 edges, so shifting all weights by one leaves the
+    # tree unchanged and keeps coincident benchmarks connected.
+    rows, cols = minimum_spanning_tree(np.triu(distances + 1.0, k=1)).nonzero()
     mst_edges = tuple(sorted(
-        (a, b, round(d["weight"], 3)) for a, b, d in mst.edges(data=True)
+        (names[min(i, j)], names[max(i, j)],
+         round(float(distances[i, j]), 3))
+        for i, j in zip(rows, cols)
     ))
 
     return DiversityReport(names=names, distances=distances,

@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..devices.specs import DeviceSpec
 from ..dwarfs.registry import get_benchmark
+from ..telemetry.metrics import default_registry
 from ..telemetry.tracer import get_tracer
 
 #: Stamp mixed into every artifact key; bump when the artifact layout
@@ -115,31 +117,28 @@ def _compute(benchmark: str, size: str, trace_len: int,
 
     cls = get_benchmark(benchmark)
     bench = cls.from_size(size)
-    with get_tracer().span("cell_artifacts", phase="absint",
-                           benchmark=benchmark, size=size):
-        trace = np.asarray(
-            resolve_access_trace(bench, max_len=trace_len,
-                                 source=trace_source),
-            dtype=np.int64)
-        model = bench.static_launches()
-        static_bytes: int | None = None
-        strides: dict = {}
-        if model is not None:
-            footprint = static_footprint(model)
-            static_bytes = int(footprint.total_bytes)
-            strides = footprint.strides
-        n = int(trace.size)
-        branch_pcs = np.full(n, _BRANCH_PC, dtype=np.int64)
-        branch_outcomes = (
-            (np.arange(n, dtype=np.int64) % _BRANCH_PERIOD)
-            != _BRANCH_PERIOD - 1)
-        return CellArtifacts(
-            benchmark=benchmark, size=size, trace_len=trace_len,
-            trace_source=trace_source,
-            footprint_bytes=int(bench.footprint_bytes()),
-            static_bytes=static_bytes, strides=strides, trace=trace,
-            branch_pcs=branch_pcs, branch_outcomes=branch_outcomes,
-        )
+    trace = np.asarray(
+        resolve_access_trace(bench, max_len=trace_len, source=trace_source),
+        dtype=np.int64)
+    model = bench.static_launches()
+    static_bytes: int | None = None
+    strides: dict = {}
+    if model is not None:
+        footprint = static_footprint(model)
+        static_bytes = int(footprint.total_bytes)
+        strides = footprint.strides
+    n = int(trace.size)
+    branch_pcs = np.full(n, _BRANCH_PC, dtype=np.int64)
+    branch_outcomes = (
+        (np.arange(n, dtype=np.int64) % _BRANCH_PERIOD)
+        != _BRANCH_PERIOD - 1)
+    return CellArtifacts(
+        benchmark=benchmark, size=size, trace_len=trace_len,
+        trace_source=trace_source,
+        footprint_bytes=int(bench.footprint_bytes()),
+        static_bytes=static_bytes, strides=strides, trace=trace,
+        branch_pcs=branch_pcs, branch_outcomes=branch_outcomes,
+    )
 
 
 _memo: dict[str, CellArtifacts] = {}
@@ -148,6 +147,15 @@ _memo: dict[str, CellArtifacts] = {}
 def clear_memo() -> None:
     """Drop the in-process artifact memo (tests)."""
     _memo.clear()
+
+
+def count_memo_lookup(memo: str, hit: bool) -> None:
+    """Bump the hit or miss counter of one in-process memo."""
+    name = "hits" if hit else "misses"
+    default_registry().counter(
+        f"harness_memo_{name}_total",
+        f"In-process memo lookups that {'hit' if hit else 'missed'}",
+    ).inc(memo=memo)
 
 
 def get_cell_artifacts(benchmark: str, size: str,
@@ -165,20 +173,42 @@ def get_cell_artifacts(benchmark: str, size: str,
     if trace_source is None:
         trace_source = _current_trace_source()
     key = artifact_key(benchmark, size, trace_len, trace_source)
-    artifacts = _memo.get(key)
-    if artifacts is not None:
-        _memo.pop(key)
-        _memo[key] = artifacts  # refresh LRU position
-        return artifacts
+    tracer = get_tracer()
+    with tracer.span("cell_artifacts", phase="absint", benchmark=benchmark,
+                     size=size) as span:
+        artifacts = _memo.pop(key, None)
+        span.set_attribute("hit", artifacts is not None)
+        count_memo_lookup("artifacts", artifacts is not None)
+        if artifacts is None:
+            with tracer.muted():
+                artifacts = _load_or_compute(key, benchmark, size, trace_len,
+                                             trace_source, cache, span)
+        _memo[key] = artifacts  # (re)insert at the most recent LRU position
+        while len(_memo) > _MEMO_MAX:
+            _memo.pop(next(iter(_memo)))
+    return artifacts
+
+
+def _load_or_compute(key: str, benchmark: str, size: str, trace_len: int,
+                     trace_source: str, cache, span) -> CellArtifacts:
+    """A memo miss: the persistent layer, else a fresh computation.
+
+    Each step's wall time goes on ``span`` as an attribute.
+    """
+    artifacts = None
     if cache is not None:
+        start = time.perf_counter()
         artifacts = cache.get_artifact(key)
+        span.set_attribute("store_get_s", time.perf_counter() - start)
+        span.set_attribute("store_hit", artifacts is not None)
     if artifacts is None:
+        start = time.perf_counter()
         artifacts = _compute(benchmark, size, trace_len, trace_source)
+        span.set_attribute("compute_s", time.perf_counter() - start)
         if cache is not None:
+            start = time.perf_counter()
             cache.put_artifact(key, artifacts)
-    _memo[key] = artifacts
-    while len(_memo) > _MEMO_MAX:
-        _memo.pop(next(iter(_memo)))
+            span.set_attribute("store_put_s", time.perf_counter() - start)
     return artifacts
 
 

@@ -10,11 +10,21 @@ For each (benchmark, size, device) group the runner applies §4.3:
   with kernel energy via the RAPL (Intel) or NVML (NVIDIA) sensor
   models.
 
-Functional execution (running the kernels' numpy bodies and validating
-against the serial references) is decoupled from timing sampling: one
-functional pass establishes correctness, then timing samples are drawn
-from the analytic model + noise model — re-running a numpy kernel 10^5
-times would only measure the simulator, not the modeled device.
+Functional execution is per shape; timing is per device.  The kernels'
+numpy bodies and the validation against the serial references depend
+only on (benchmark, size, validate) — the bodies never read the device
+spec and the inputs are seeded by the benchmark, not the cell — so they
+run once per shape.  That pass leaves a :class:`FunctionalRecord`: the
+queue commands in enqueue order, the allocation sequence, the validated
+flag and the executed instance's kernel profiles and footprint, kept in
+a bounded in-process LRU memo.  Each device cell then replays the
+record: the device's allocation limits are applied in the recorded
+order and every command is priced through that device's
+:class:`~repro.ocl.CommandQueue` with the cell RNG, one noise draw per
+command in the original order — exactly what a live run on that device
+would record.  Timing samples are then drawn from the analytic model +
+noise model; re-running a numpy kernel 10^5 times would only measure
+the simulator, not the modeled device.
 """
 
 from __future__ import annotations
@@ -33,11 +43,13 @@ from ..devices.catalog import get_device
 from ..devices.specs import DeviceSpec, Vendor
 from ..dwarfs.base import Benchmark
 from ..dwarfs.registry import get_benchmark
-from ..ocl import CommandQueue, Context, Device, find_device
+from ..ocl import CommandQueue, Context, Device, Event, find_device
+from ..ocl.types import CommandExecutionStatus, CommandType
 from ..perfmodel import iteration_time, noisy_samples
+from ..perfmodel.characterization import KernelProfile
 from ..perfmodel.roofline import TimeBreakdown
 from ..perfmodel.energy import mean_power_w
-from ..scibench.recorder import REGION_KERNEL, REGION_SETUP, REGION_TRANSFER, Recorder
+from ..scibench.recorder import REGION_KERNEL, REGION_TRANSFER, Recorder
 from ..scibench.stats import SampleSummary, summarize
 from ..telemetry.metrics import default_registry
 from ..telemetry.runlog import RunLog, get_default_runlog
@@ -48,6 +60,11 @@ DEFAULT_SAMPLES = 50
 
 #: Minimum looped duration per sample, seconds (paper §2).
 MIN_LOOP_SECONDS = 2.0
+
+#: Functional-record memo capacity (insertion-ordered LRU).  A record
+#: holds command metadata, not buffers, so one per shape of a whole
+#: sweep fits.
+_MEMO_MAX = 32
 
 
 def cell_seed(seed: int, benchmark: str, size: str, device: str) -> int:
@@ -155,6 +172,207 @@ def _energy_samples(
     return mean_power_w(spec, utilization) * times_s
 
 
+@dataclass(frozen=True)
+class FunctionalRecord:
+    """What one functional pass over a (benchmark, size) shape leaves.
+
+    Everything in it is device-independent, so any device cell of the
+    shape can replay it (see :func:`_replay`).
+    """
+
+    #: The pass in order: ``("alloc", nbytes)``, ``("free", nbytes)``
+    #: and ``("command", CommandType, info)`` steps, where ``info`` is
+    #: the unpriced event info (kernel profile, bytes moved).
+    steps: tuple
+    #: ``(region, command index)`` for each event the life-cycle
+    #: methods returned, in the order the recorder saw them.
+    recorded: tuple[tuple[str, int], ...]
+    validated: bool
+    #: ``profiles()`` and ``footprint_bytes()`` of the *executed*
+    #: instance: csr's profile depends on its generated matrix.
+    profiles: tuple[KernelProfile, ...]
+    footprint_bytes: int
+
+
+_memo: dict[tuple, FunctionalRecord] = {}
+
+
+def clear_memo() -> None:
+    """Drop the in-process functional-record memo (tests)."""
+    _memo.clear()
+
+
+class _RecordingContext(Context):
+    """A context that logs its allocation sequence as replay steps."""
+
+    def __init__(self, device: Device, steps: list):
+        super().__init__(device)
+        self._steps = steps
+
+    def charge_allocation(self, nbytes: int) -> None:
+        """Log the request, then apply this device's limits to it.
+
+        Logged first, so a failing request replays as the same failure.
+        """
+        self._steps.append(("alloc", nbytes))
+        super().charge_allocation(nbytes)
+
+    def refund_allocation(self, nbytes: int) -> None:
+        """Log the release, then refund it."""
+        self._steps.append(("free", nbytes))
+        super().refund_allocation(nbytes)
+
+
+class _RecordingQueue(CommandQueue):
+    """Executes commands functionally and logs them instead of pricing.
+
+    It draws no noise, counts no ``ocl_*`` metrics and publishes no
+    events: a replay on a device queue does all of that, per device.
+    The returned events are complete but carry no timestamps.
+    """
+
+    def __init__(self, context: Context, steps: list):
+        super().__init__(context)
+        self._steps = steps
+        self._index: dict[int, int] = {}
+
+    def submit(self, command_type: CommandType, info: dict,
+               wait_for: list[Event] | None = None) -> Event:
+        """Log a functionally executed command, unpriced.
+
+        ``wait_for`` is not kept: on an in-order queue it cannot move
+        a command's start time.
+        """
+        self._check_queue_alive()
+        event = Event(command_type, status=CommandExecutionStatus.COMPLETE,
+                      info=info)
+        self._index[id(event)] = len(self.events)
+        self.events.append(event)  # keeps every indexed id alive
+        self._steps.append(("command", command_type, info))
+        return event
+
+    def index_of(self, event: Event) -> int:
+        """Position of a returned event in the command log."""
+        return self._index[id(event)]
+
+
+def _execute(cls: type[Benchmark], config: RunConfig, device: Device,
+             span) -> tuple[FunctionalRecord, Exception | None]:
+    """One functional pass over the cell's shape, recorded for replay.
+
+    Runs the life cycle (host setup, transfers, kernels, read-back,
+    validation) against a recording context and queue on ``device``,
+    whose allocation limits still apply.  Phase wall times go on
+    ``span`` as attributes.  An exception does not escape: it comes
+    back with the record of the steps that ran before it, so the
+    caller can replay those on the device, as a live run would have
+    enqueued them, before raising it.
+    """
+    bench = cls.from_size(config.size)
+    steps: list = []
+    recorded: list[tuple[str, int]] = []
+    context = _RecordingContext(device, steps)
+    queue = _RecordingQueue(context, steps)
+    validated = False
+    error: Exception | None = None
+    phases = (("transfer_inputs", REGION_TRANSFER, bench.transfer_inputs),
+              ("run_iteration", REGION_KERNEL, bench.run_iteration),
+              ("collect_results", REGION_TRANSFER, bench.collect_results))
+    try:
+        start = time.perf_counter()
+        bench.host_setup(context)
+        span.set_attribute("host_setup_s", time.perf_counter() - start)
+        for name, region, phase in phases:
+            start = time.perf_counter()
+            for event in phase(queue):
+                recorded.append((region, queue.index_of(event)))
+            span.set_attribute(f"{name}_s", time.perf_counter() - start)
+        if config.validate:
+            start = time.perf_counter()
+            try:
+                bench.validate()
+            except Exception:
+                default_registry().counter(
+                    "harness_validation_failures_total",
+                    "Benchmark validations that raised",
+                ).inc(benchmark=config.benchmark)
+                raise
+            finally:
+                span.set_attribute("validate_s", time.perf_counter() - start)
+            validated = True
+    except Exception as exc:
+        error = exc
+    finally:
+        bench.teardown()
+    return FunctionalRecord(
+        steps=tuple(steps),
+        recorded=tuple(recorded),
+        validated=validated,
+        profiles=() if error else tuple(bench.profiles()),
+        footprint_bytes=0 if error else bench.footprint_bytes(),
+    ), error
+
+
+def _replay(record: FunctionalRecord, device: Device,
+            rng: np.random.Generator, recorder: Recorder) -> None:
+    """Price a functional record on one device, as a live run would.
+
+    Applies the device's allocation limits in the recorded order
+    (raising :class:`~repro.ocl.MemObjectAllocationFailure` or
+    :class:`~repro.ocl.OutOfResources` where a live run would), prices
+    every command through the device's queue with the cell RNG, and
+    feeds the events the life-cycle methods returned to ``recorder``.
+    """
+    context = Context(device)
+    queue = CommandQueue(context, rng=rng)
+    events = []
+    for step in record.steps:
+        if step[0] == "command":
+            events.append(queue.submit(step[1], step[2]))
+        elif step[0] == "alloc":
+            context.charge_allocation(step[1])
+        else:
+            context.refund_allocation(step[1])
+    for region, index in record.recorded:
+        recorder.record_event(region, events[index])
+
+
+def _functional_record(cls: type[Benchmark], config: RunConfig,
+                       device: Device,
+                       rng: np.random.Generator,
+                       recorder: Recorder) -> FunctionalRecord:
+    """The shape's functional record, replayed on ``device``.
+
+    A memo hit skips execution; a miss executes (with child spans
+    muted, so a trace's shape does not depend on the memo) and
+    memoizes only a pass that raised nothing.
+    """
+    from .artifacts import count_memo_lookup
+
+    tracer = get_tracer()
+    # the class is part of the key: a substituted registry entry of
+    # the same name never reuses another class's record
+    key = (cls, config.size, config.validate)
+    with tracer.span("functional_exec", benchmark=config.benchmark,
+                     size=config.size) as span:
+        record = _memo.pop(key, None)
+        span.set_attribute("hit", record is not None)
+        count_memo_lookup("functional", record is not None)
+        error = None
+        if record is None:
+            with tracer.muted():
+                record, error = _execute(cls, config, device, span)
+        if error is None:
+            _memo[key] = record  # (re)insert at the most recent position
+            while len(_memo) > _MEMO_MAX:
+                _memo.pop(next(iter(_memo)))
+    with tracer.span("replay_commands", steps=len(record.steps)):
+        _replay(record, device, rng, recorder)
+    if error is not None:
+        raise error
+    return record
+
+
 def run_benchmark(config: RunConfig, runlog: RunLog | None = None,
                   artifact_cache=None) -> RunResult:
     """Measure one (benchmark, size, device) group.
@@ -177,7 +395,7 @@ def run_benchmark(config: RunConfig, runlog: RunLog | None = None,
     runlog = runlog if runlog is not None else get_default_runlog()
     spec = get_device(config.device)
     cls = get_benchmark(config.benchmark)
-    bench = cls.from_size(config.size)
+    bench = cls.from_size(config.size)  # an unknown size fails before run_start
     rng = np.random.default_rng(
         cell_seed(config.seed, config.benchmark, config.size, spec.name)
     )
@@ -193,43 +411,21 @@ def run_benchmark(config: RunConfig, runlog: RunLog | None = None,
                      phase="measure") as cell_span:
         if tracemalloc.is_tracing():
             tracemalloc.reset_peak()
-        validated = False
         if config.execute:
-            device = find_device(spec.name)
-            context = Context(device)
-            queue = CommandQueue(context, rng=rng)
-            try:
-                with tracer.span("host_setup"):
-                    bench.host_setup(context)
-                with tracer.span("transfer_inputs"):
-                    for event in bench.transfer_inputs(queue):
-                        recorder.record_event(REGION_TRANSFER, event)
-                with tracer.span("run_iteration"):
-                    for event in bench.run_iteration(queue):
-                        recorder.record_event(REGION_KERNEL, event)
-                with tracer.span("collect_results"):
-                    for event in bench.collect_results(queue):
-                        recorder.record_event(REGION_TRANSFER, event)
-                if config.validate:
-                    with tracer.span("validate"):
-                        try:
-                            bench.validate()
-                        except Exception:
-                            registry.counter(
-                                "harness_validation_failures_total",
-                                "Benchmark validations that raised",
-                            ).inc(benchmark=config.benchmark)
-                            raise
-                        validated = True
-            finally:
-                bench.teardown()
+            record = _functional_record(cls, config, find_device(spec.name),
+                                        rng, recorder)
+            validated = record.validated
+            profiles = list(record.profiles)
+            footprint_bytes = record.footprint_bytes
         else:
             # profiles() needs per-instance parameters only; host data
             # is not generated
-            pass
+            validated = False
+            profiles = bench.profiles()
+            footprint_bytes = bench.footprint_bytes()
 
         with tracer.span("sample_timings", samples=config.samples):
-            breakdown = iteration_time(spec, bench.profiles())
+            breakdown = iteration_time(spec, profiles)
             nominal = breakdown.total_s
             loop_iterations = max(
                 1, math.ceil(config.min_loop_seconds / max(nominal, 1e-9)))
@@ -281,7 +477,7 @@ def run_benchmark(config: RunConfig, runlog: RunLog | None = None,
         energies_j=energies,
         loop_iterations=loop_iterations,
         breakdown=breakdown,
-        footprint_bytes=bench.footprint_bytes(),
+        footprint_bytes=footprint_bytes,
         validated=validated,
         counters=counters,
         recorder=recorder,

@@ -31,6 +31,7 @@ The on-disk cache-entry layout is documented in ``docs/formats.md``.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -380,41 +381,37 @@ class SweepCache:
         """Load cached :class:`~repro.harness.artifacts.CellArtifacts`.
 
         Corruption or layout drift is a miss, exactly like :meth:`get`.
+        Only :func:`~repro.harness.artifacts.get_cell_artifacts` calls
+        this, on an in-process memo miss, and times it on its own
+        ``cell_artifacts`` span.
         """
         from .artifacts import CellArtifacts
 
-        with get_tracer().span("sweep_cache_get_artifact",
-                               phase="cache_io", key=key) as sp:
-            try:
-                blob = self.backend.read("artifact", key)
-                if blob is None:
-                    sp.set_attribute("hit", False)
-                    return None
-                with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-                    meta = json.loads(str(data["meta"]))
-                    artifacts = CellArtifacts(
-                        benchmark=meta["benchmark"],
-                        size=meta["size"],
-                        trace_len=int(meta["trace_len"]),
-                        trace_source=meta["trace_source"],
-                        footprint_bytes=int(meta["footprint_bytes"]),
-                        static_bytes=meta["static_bytes"],
-                        strides=meta["strides"],
-                        trace=data["trace"].astype(np.int64, copy=False),
-                        branch_pcs=data["branch_pcs"].astype(
-                            np.int64, copy=False),
-                        branch_outcomes=data["branch_outcomes"].astype(
-                            bool, copy=False),
-                    )
-                sp.set_attribute("hit", True)
-                return artifacts
-            except (CacheBackendError, OSError, ValueError, KeyError,
-                    TypeError) as exc:
-                _log.warning(
-                    "treating corrupt artifact entry %s as a miss: %s",
-                    key, exc)
-                sp.set_attribute("hit", False)
+        try:
+            blob = self.backend.read("artifact", key)
+            if blob is None:
                 return None
+            with np.load(io.BytesIO(blob), allow_pickle=False) as data:
+                meta = json.loads(str(data["meta"]))
+                return CellArtifacts(
+                    benchmark=meta["benchmark"],
+                    size=meta["size"],
+                    trace_len=int(meta["trace_len"]),
+                    trace_source=meta["trace_source"],
+                    footprint_bytes=int(meta["footprint_bytes"]),
+                    static_bytes=meta["static_bytes"],
+                    strides=meta["strides"],
+                    trace=data["trace"].astype(np.int64, copy=False),
+                    branch_pcs=data["branch_pcs"].astype(
+                        np.int64, copy=False),
+                    branch_outcomes=data["branch_outcomes"].astype(
+                        bool, copy=False),
+                )
+        except (CacheBackendError, OSError, ValueError, KeyError,
+                TypeError) as exc:
+            _log.warning(
+                "treating corrupt artifact entry %s as a miss: %s", key, exc)
+            return None
 
     def put_artifact(self, key: str, artifacts) -> Path | str:
         """Persist one shape's artifacts under ``key``.
@@ -422,33 +419,31 @@ class SweepCache:
         Returns the entry path for local backends, the key otherwise.
         Backend write failures degrade like :meth:`put`.
         """
-        with get_tracer().span("sweep_cache_put_artifact",
-                               phase="cache_io", key=key):
-            meta = json.dumps({
-                "benchmark": artifacts.benchmark,
-                "size": artifacts.size,
-                "trace_len": artifacts.trace_len,
-                "trace_source": artifacts.trace_source,
-                "footprint_bytes": artifacts.footprint_bytes,
-                "static_bytes": artifacts.static_bytes,
-                "strides": artifacts.strides,
-            })
-            buffer = io.BytesIO()
-            np.savez_compressed(
-                buffer, meta=np.asarray(meta),
-                trace=artifacts.trace,
-                branch_pcs=artifacts.branch_pcs,
-                branch_outcomes=artifacts.branch_outcomes)
-            try:
-                self.backend.write("artifact", key, buffer.getvalue())
-            except CacheBackendError as exc:
-                _log.warning(
-                    "sweep cache backend failed to store artifact %s: %s",
-                    key, exc)
-                return key
-            if isinstance(self.backend, LocalCacheBackend):
-                return self.artifact_path_for(key)
+        meta = json.dumps({
+            "benchmark": artifacts.benchmark,
+            "size": artifacts.size,
+            "trace_len": artifacts.trace_len,
+            "trace_source": artifacts.trace_source,
+            "footprint_bytes": artifacts.footprint_bytes,
+            "static_bytes": artifacts.static_bytes,
+            "strides": artifacts.strides,
+        })
+        buffer = io.BytesIO()
+        np.savez_compressed(
+            buffer, meta=np.asarray(meta),
+            trace=artifacts.trace,
+            branch_pcs=artifacts.branch_pcs,
+            branch_outcomes=artifacts.branch_outcomes)
+        try:
+            self.backend.write("artifact", key, buffer.getvalue())
+        except CacheBackendError as exc:
+            _log.warning(
+                "sweep cache backend failed to store artifact %s: %s",
+                key, exc)
             return key
+        if isinstance(self.backend, LocalCacheBackend):
+            return self.artifact_path_for(key)
+        return key
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -638,7 +633,10 @@ def run_sweep(
                     _finish(i, config, result)
             else:
                 trace_ctx = tracer.propagation_context()
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
+                # forked workers freeze the heap they inherit, so their
+                # full collections skip the parent's objects
+                with ProcessPoolExecutor(max_workers=jobs,
+                                         initializer=gc.freeze) as pool:
                     futures = {
                         pool.submit(_compute_cell, pending[pos][1],
                                     trace_ctx): pending[pos]

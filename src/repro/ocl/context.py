@@ -71,29 +71,51 @@ class Context:
         return len(self._allocations)
 
     # ------------------------------------------------------------------
-    def _register_allocation(self, buf: Buffer) -> None:
+    def charge_allocation(self, nbytes: int) -> None:
+        """Check ``nbytes`` against the device's global memory, then charge it.
+
+        The one allocation-limit check: :class:`Buffer` calls it before
+        it allocates backing storage, so an oversized request fails with
+        the OpenCL error it models rather than a host ``MemoryError``,
+        and the runner's per-device replay of a recorded allocation
+        sequence calls it once per recorded buffer.
+
+        Raises
+        ------
+        MemObjectAllocationFailure
+            ``nbytes`` alone exceeds the device's global memory.
+        OutOfResources
+            ``nbytes`` on top of the live allocations exceeds it.
+        """
         limit = self.device.global_mem_size
-        if buf.size > limit:
+        if nbytes > limit:
             raise MemObjectAllocationFailure(
-                f"single allocation of {buf.size} bytes exceeds the "
+                f"single allocation of {nbytes} bytes exceeds the "
                 f"{limit}-byte global memory of {self.device.name}"
             )
-        if self._allocated_bytes + buf.size > limit:
+        if self._allocated_bytes + nbytes > limit:
             raise OutOfResources(
-                f"allocating {buf.size} bytes would exceed the "
+                f"allocating {nbytes} bytes would exceed the "
                 f"{limit}-byte global memory of {self.device.name} "
                 f"({self._allocated_bytes} bytes already allocated)"
             )
-        self._allocations[id(buf)] = buf
-        self._allocated_bytes += buf.size
+        self._allocated_bytes += nbytes
         self._peak_allocated_bytes = max(self._peak_allocated_bytes, self._allocated_bytes)
+
+    def refund_allocation(self, nbytes: int) -> None:
+        """Return ``nbytes`` charged by :meth:`charge_allocation`."""
+        self._allocated_bytes -= nbytes
+
+    def _register_allocation(self, buf: Buffer) -> None:
+        """Track a buffer whose size :meth:`charge_allocation` accepted."""
+        self._allocations[id(buf)] = buf
         if self.sanitizer is not None:
             self.sanitizer.on_alloc(buf)
 
     def _unregister_allocation(self, buf: Buffer) -> None:
         if id(buf) in self._allocations:
             del self._allocations[id(buf)]
-            self._allocated_bytes -= buf.size
+            self.refund_allocation(buf.size)
             if self.sanitizer is not None:
                 self.sanitizer.on_release(buf)
 

@@ -2,7 +2,9 @@
 
 A :class:`Buffer` owns a numpy array standing in for a device
 allocation.  Allocations are charged against the context's device
-global memory so oversubscription fails with ``CL_OUT_OF_RESOURCES``,
+global memory before any host storage is allocated, so
+oversubscription fails with ``CL_OUT_OF_RESOURCES`` (or
+``CL_MEM_OBJECT_ALLOCATION_FAILURE`` for one oversized request),
 and the paper's footprint-verification step ("the memory footprint was
 verified … by printing the sum of the size of all memory allocated on
 the device", §4.4) maps onto :meth:`Context.allocated_bytes`.
@@ -66,13 +68,18 @@ class Buffer:
         #: off this.
         self._host_initialized = hostbuf is not None
 
-        if hostbuf is not None and MemFlags.USE_HOST_PTR in flags:
-            self._array = hostbuf
-        elif hostbuf is not None:
-            self._array = hostbuf.copy()
-        else:
-            self._array = np.zeros(self.size, dtype=np.uint8)
-
+        # the device limit is checked before any host storage exists
+        context.charge_allocation(self.size)
+        try:
+            if hostbuf is not None and MemFlags.USE_HOST_PTR in flags:
+                self._array = hostbuf
+            elif hostbuf is not None:
+                self._array = hostbuf.copy()
+            else:
+                self._array = np.zeros(self.size, dtype=np.uint8)
+        except BaseException:
+            context.refund_allocation(self.size)
+            raise
         context._register_allocation(self)
 
     # ------------------------------------------------------------------

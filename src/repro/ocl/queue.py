@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..devices.specs import DeviceSpec
 from ..perfmodel import kernel_energy, kernel_time, noisy_samples, transfer_time_s
 from ..telemetry.hooks import EventBus, GLOBAL_EVENT_BUS
 from ..telemetry.metrics import default_registry
@@ -28,6 +29,58 @@ from .types import CommandExecutionStatus, CommandType, QueueProperties
 #: Host-side cost of enqueueing a command before it is submitted to the
 #: device, ns (argument marshalling, command buffer append).
 ENQUEUE_OVERHEAD_NS = 1_500
+
+#: Device time of a marker or barrier, ns: one clock tick, never
+#: perturbed by the timing-noise model.
+SYNC_COMMAND_NS = 1
+
+
+def price_command(
+    spec: DeviceSpec, command_type: CommandType, info: dict
+) -> tuple[float | None, dict]:
+    """Modeled device time of one command on ``spec``, before noise.
+
+    The one pricing rule for every command: the live ``enqueue_*``
+    methods and the runner's per-device replay of a recorded command
+    log both come through here (via :meth:`CommandQueue.submit`).
+
+    Parameters
+    ----------
+    spec : DeviceSpec
+        The device the command is priced on.
+    command_type : CommandType
+        What the command does.
+    info : dict
+        The command's device-independent details: the kernel
+        ``profile`` for launches, ``bytes`` moved for buffer commands.
+
+    Returns
+    -------
+    (float or None, dict)
+        Nominal seconds (``None`` for a marker or barrier, which takes
+        :data:`SYNC_COMMAND_NS` without noise) and the event info the
+        pricing adds: a kernel's ``breakdown``, ``energy_j`` and
+        ``mean_power_w``.
+    """
+    if command_type is CommandType.ND_RANGE_KERNEL:
+        breakdown = kernel_time(spec, info["profile"])
+        energy = kernel_energy(spec, breakdown)
+        return breakdown.total_s, {
+            "breakdown": breakdown,
+            "energy_j": energy.energy_j,
+            "mean_power_w": energy.mean_power_w,
+        }
+    if command_type in (CommandType.WRITE_BUFFER, CommandType.READ_BUFFER):
+        return transfer_time_s(spec, info["bytes"]), {}
+    bandwidth = spec.memory.bandwidth_gbs * 1e9
+    if command_type is CommandType.COPY_BUFFER:
+        # on-device copies run at memory bandwidth (read + write)
+        return 2 * info["bytes"] / bandwidth, {}
+    if command_type is CommandType.FILL_BUFFER:
+        return info["bytes"] / bandwidth, {}
+    if command_type in (CommandType.MARKER, CommandType.BARRIER):
+        return None, {}
+    raise InvalidValue(f"no pricing rule for {command_type.value} commands")
 
 
 class CommandQueue:
@@ -159,6 +212,27 @@ class CommandQueue:
         GLOBAL_EVENT_BUS.publish(self, event)
         return event
 
+    def submit(
+        self,
+        command_type: CommandType,
+        info: dict,
+        wait_for: list[Event] | None = None,
+    ) -> Event:
+        """Price a command on this device and stamp it onto the clock.
+
+        Every ``enqueue_*`` method ends here once its functional effect
+        is done; the runner calls it directly to replay a recorded
+        command log on another device.  One timing-noise sample is
+        drawn per command (none for markers and barriers).  ``info`` is
+        not mutated: the event gets a copy extended by the pricing.
+        """
+        nominal_s, priced = price_command(self.device.spec, command_type, info)
+        if nominal_s is None:
+            duration_ns = SYNC_COMMAND_NS
+        else:
+            duration_ns = self._duration_with_noise_ns(nominal_s)
+        return self._record(command_type, duration_ns, wait_for, {**info, **priced})
+
     # ------------------------------------------------------------------
     def enqueue_nd_range_kernel(
         self,
@@ -186,8 +260,6 @@ class CommandQueue:
                 san.on_use_after_release(kernel, exc)
             raise
         profile = kernel.resolve_profile(nd, resolved)
-        breakdown = kernel_time(self.device.spec, profile)
-        energy = kernel_energy(self.device.spec, breakdown)
 
         # Functional execution: the kernel body mutates buffer storage.
         # Under an attached sanitizer buffer arrays are swapped for
@@ -204,21 +276,16 @@ class CommandQueue:
             finally:
                 san.after_kernel(kernel, nd)
 
-        duration_ns = self._duration_with_noise_ns(breakdown.total_s)
-        return self._record(
+        return self.submit(
             CommandType.ND_RANGE_KERNEL,
-            duration_ns,
-            wait_for,
-            info={
+            {
                 "kernel": kernel.name,
                 "n_args": len(resolved),
                 "work_items": nd.work_items,
                 "work_groups": nd.work_groups,
                 "profile": profile,
-                "breakdown": breakdown,
-                "energy_j": energy.energy_j,
-                "mean_power_w": energy.mean_power_w,
             },
+            wait_for,
         )
 
     # ------------------------------------------------------------------
@@ -244,13 +311,7 @@ class CommandQueue:
         np.copyto(dst.view(np.uint8).reshape(-1), src.view(np.uint8).reshape(-1))
         if self.context.sanitizer is not None:
             self.context.sanitizer.on_host_write(buf)
-        duration = transfer_time_s(self.device.spec, buf.size)
-        return self._record(
-            CommandType.WRITE_BUFFER,
-            self._duration_with_noise_ns(duration),
-            wait_for,
-            info={"bytes": buf.size},
-        )
+        return self.submit(CommandType.WRITE_BUFFER, {"bytes": buf.size}, wait_for)
 
     def enqueue_read_buffer(
         self, buf: Buffer, dest: np.ndarray, wait_for: list[Event] | None = None
@@ -265,13 +326,7 @@ class CommandQueue:
         if self.context.sanitizer is not None:
             self.context.sanitizer.on_host_read(buf)
         np.copyto(dest.view(np.uint8).reshape(-1), buf.array.view(np.uint8).reshape(-1))
-        duration = transfer_time_s(self.device.spec, buf.size)
-        return self._record(
-            CommandType.READ_BUFFER,
-            self._duration_with_noise_ns(duration),
-            wait_for,
-            info={"bytes": buf.size},
-        )
+        return self.submit(CommandType.READ_BUFFER, {"bytes": buf.size}, wait_for)
 
     def enqueue_copy_buffer(
         self, src: Buffer, dst: Buffer, wait_for: list[Event] | None = None
@@ -287,15 +342,7 @@ class CommandQueue:
         if self.context.sanitizer is not None:
             self.context.sanitizer.on_host_read(src)
             self.context.sanitizer.on_host_write(dst)
-        # On-device copies run at memory bandwidth (read + write).
-        bw = self.device.spec.memory.bandwidth_gbs * 1e9
-        duration = 2 * src.size / bw
-        return self._record(
-            CommandType.COPY_BUFFER,
-            self._duration_with_noise_ns(duration),
-            wait_for,
-            info={"bytes": src.size},
-        )
+        return self.submit(CommandType.COPY_BUFFER, {"bytes": src.size}, wait_for)
 
     def enqueue_fill_buffer(
         self, buf: Buffer, value: int, wait_for: list[Event] | None = None
@@ -305,22 +352,18 @@ class CommandQueue:
         buf.array.view(np.uint8)[...] = np.uint8(value)
         if self.context.sanitizer is not None:
             self.context.sanitizer.on_host_write(buf)
-        bw = self.device.spec.memory.bandwidth_gbs * 1e9
-        return self._record(
-            CommandType.FILL_BUFFER,
-            self._duration_with_noise_ns(buf.size / bw),
-            wait_for,
-            info={"bytes": buf.size, "value": value},
+        return self.submit(
+            CommandType.FILL_BUFFER, {"bytes": buf.size, "value": value}, wait_for
         )
 
     # ------------------------------------------------------------------
     def enqueue_marker(self, wait_for: list[Event] | None = None) -> Event:
         """A zero-duration marker event."""
-        return self._record(CommandType.MARKER, 1, wait_for, info={})
+        return self.submit(CommandType.MARKER, {}, wait_for)
 
     def enqueue_barrier(self) -> Event:
         """A barrier; trivially complete on an in-order queue."""
-        return self._record(CommandType.BARRIER, 1, None, info={})
+        return self.submit(CommandType.BARRIER, {})
 
     def flush(self) -> None:
         """No-op: commands are submitted eagerly."""

@@ -41,6 +41,7 @@ server registry, and the engine maintains the service instruments —
 from __future__ import annotations
 
 import asyncio
+import gc
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -191,7 +192,10 @@ class ServiceEngine:
         if self._running:
             return
         self._running = True
-        self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+        # forked workers freeze the heap they inherit, so their full
+        # collections skip (and never copy-on-write) the server's objects
+        self._pool = ProcessPoolExecutor(max_workers=self.jobs,
+                                         initializer=gc.freeze)
         if self._pending:
             self._wakeup.set()
         self._dispatcher = asyncio.create_task(

@@ -167,13 +167,30 @@ class Tracer:
         self._next_id = 1
         self.finished: list[Span] = []
         self.trace_id = trace_id if trace_id is not None else new_trace_id()
+        #: Depth of open :meth:`muted` blocks; spans are dropped while >0.
+        self._muted = 0
 
     # ------------------------------------------------------------------
     def span(self, name: str, **attributes):
         """Open a span: ``with tracer.span("phase", benchmark="fft"):``."""
-        if not self.enabled:
+        if not self.enabled or self._muted:
             return NOOP_SPAN
         return _ActiveSpan(self, name, attributes)
+
+    @contextmanager
+    def muted(self):
+        """Drop every span opened inside the block.
+
+        Memo layers run their miss-only work under this, so the shape
+        of a trace depends on its input and not on whether a memo was
+        warm; the miss's sub-timings ride on the memo's own span as
+        attributes instead.
+        """
+        self._muted += 1
+        try:
+            yield
+        finally:
+            self._muted -= 1
 
     def _start(self, name: str, attributes: dict) -> Span:
         parent = self._stack[-1] if self._stack else None

@@ -1,5 +1,7 @@
 """AIWC characterization and suite diversity analysis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,28 @@ class TestDiversity:
 
     def test_mst_spans_suite(self, report):
         assert len(report.mst_edges) == len(report.names) - 1
+
+    def test_mst_matches_networkx(self, report):
+        """The scipy tree is the one networkx builds on the same graph."""
+        nx = pytest.importorskip("networkx")
+        graph = nx.Graph()
+        for i, a in enumerate(report.names):
+            for j in range(i + 1, len(report.names)):
+                graph.add_edge(a, report.names[j],
+                               weight=float(report.distances[i, j]))
+        expected = tuple(sorted(
+            (a, b, round(d["weight"], 3))
+            for a, b, d in nx.minimum_spanning_tree(graph).edges(data=True)))
+        assert report.mst_edges == expected
+
+    def test_mst_spans_coincident_benchmarks(self):
+        """A zero distance is still an edge (csgraph reads 0 as none)."""
+        suite = characterize_suite("tiny")[:3]
+        twin = dataclasses.replace(suite[0], benchmark="twin")
+        report = analyze([*suite, twin])
+        assert len(report.mst_edges) == 3
+        assert (suite[0].benchmark, "twin", 0.0) in report.mst_edges \
+            or ("twin", suite[0].benchmark, 0.0) in report.mst_edges
 
     def test_distinctiveness_rows_sorted(self, report):
         rows = report.distinctiveness_rows()

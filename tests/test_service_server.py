@@ -47,8 +47,12 @@ def service_running(**kwargs):
     try:
         yield holder["service"]
     finally:
-        holder["loop"].call_soon_threadsafe(
-            holder["service"].request_shutdown)
+        # a `shutdown` record may already have stopped the server and
+        # closed its loop; scheduling on a closed loop raises
+        # RuntimeError, and there is nothing left to stop
+        with contextlib.suppress(RuntimeError):
+            holder["loop"].call_soon_threadsafe(
+                holder["service"].request_shutdown)
         thread.join(timeout=60)
         assert not thread.is_alive(), "service did not drain"
 

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.harness import artifacts, runner
 from repro.harness.cli import main
 from repro.harness.runner import RunConfig, run_benchmark
 from repro.harness.sweep import SweepCache, run_sweep
@@ -114,6 +115,30 @@ class TestPropagation:
         # and the engine's headline guarantee still holds alongside
         for a, b in zip(serial_results, parallel_results):
             assert (a.times_s == b.times_s).all()
+
+    @pytest.mark.parametrize("memo", ["warm", "cold"])
+    def test_topology_does_not_depend_on_memo_state(self, memo):
+        """Memo layers always emit their span; misses add no children."""
+        configs = [*_configs(),
+                   RunConfig("fft", "tiny", "i7-6700K", samples=6)]
+        run_sweep(configs, jobs=1)
+        if memo == "cold":
+            artifacts.clear_memo()
+            runner.clear_memo()
+        with tracing() as first:
+            run_sweep(configs, jobs=1)
+        with tracing() as serial:
+            run_sweep(configs, jobs=1)  # always warm
+        with tracing() as parallel:
+            run_sweep(configs, jobs=2)
+        assert _paths(first.finished) == _paths(serial.finished)
+        assert _paths(serial.finished) == _paths(parallel.finished)
+        names = [s.name for s in first.finished]
+        assert names.count("cell_artifacts") == len(configs)
+        assert names.count("functional_exec") == 1
+        hits = {s.attributes["hit"] for s in first.finished
+                if s.name in ("cell_artifacts", "functional_exec")}
+        assert hits == ({False, True} if memo == "cold" else {True})
 
     def test_disabled_tracer_ships_nothing(self):
         prev = set_tracer(Tracer(enabled=False))
