@@ -4,10 +4,8 @@ These substrates stand in for the PAPI hardware counters the paper
 uses to verify its problem-size selection (DESIGN.md §2).
 """
 
-from .batch import batch_enabled, batch_mode, scalar_mode
 from .branch import BranchPredictor
 from .hierarchy import CacheHierarchy
-from .prefetch import PrefetchStats, StreamPrefetcher
 from .setassoc import CacheStats, SetAssociativeCache
 from .tlb import TLB
 from . import trace
@@ -15,13 +13,8 @@ from . import trace
 __all__ = [
     "BranchPredictor",
     "CacheHierarchy",
-    "PrefetchStats",
-    "StreamPrefetcher",
     "CacheStats",
     "SetAssociativeCache",
     "TLB",
-    "batch_enabled",
-    "batch_mode",
-    "scalar_mode",
     "trace",
 ]

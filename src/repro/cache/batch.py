@@ -1,82 +1,29 @@
-"""Batch-simulation toggle shared by the cache/TLB/branch models.
+"""Trace coercion shared by the cache/TLB/branch models.
 
-The simulators in this package each keep two equivalent
-implementations of their trace entry point (``access_many`` /
-``run_trace``):
-
-* the **scalar oracle** — the original per-address Python loop, kept
-  byte-for-byte as the reference semantics;
-* the **batch path** — a numpy rewrite that decomposes whole address
-  arrays at once and only drops to tight Python loops over the
-  irreducibly sequential state updates (per-set LRU stacks,
-  saturating counters).
-
-Both paths mutate the *same* canonical state (the per-set LRU dicts,
-the counter table), so scalar and batch calls can interleave freely
-and property tests can pin the batch results against the oracle
-bit-exactly (``tests/test_cache_batch.py``).
-
-The batch path is on by default.  ``REPRO_SIM_BATCH=0`` (or ``false``
-/ ``off``) falls back to the scalar oracle everywhere — the knob the
-benchmark trajectory uses to record honest before/after points, and
-an escape hatch should a platform's numpy misbehave.  The variable is
-read at call time, so worker processes and the
-:func:`scalar_mode` / :func:`batch_mode` context managers all see
-changes immediately.
+Each simulator in this package has one trace entry point
+(``access_many`` / ``run_trace``) that runs whole numpy address arrays
+at once and drops to tight Python loops only over the irreducibly
+sequential state updates (per-set LRU stacks, saturating counters).
+Next to it sits the per-element method (``access`` /
+``predict_and_update``), the single-address API.  Both mutate the
+*same* canonical state (the per-set LRU dicts, the counter table), so
+calls can interleave freely and property tests pin the trace entry
+point against a loop of the per-element method bit-exactly
+(``tests/test_cache_batch.py``).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
-
-#: Environment variable controlling the batch fast path.
-ENV_VAR = "REPRO_SIM_BATCH"
-
-_FALSEY = {"0", "false", "off", "no"}
-
-
-def batch_enabled() -> bool:
-    """Whether the vectorized trace paths are active (default: yes)."""
-    return os.environ.get(ENV_VAR, "1").strip().lower() not in _FALSEY
-
-
-@contextmanager
-def scalar_mode() -> Iterator[None]:
-    """Force the scalar oracle within the block (tests, baselines)."""
-    prior = os.environ.get(ENV_VAR)
-    os.environ[ENV_VAR] = "0"
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = prior
-
-
-@contextmanager
-def batch_mode() -> Iterator[None]:
-    """Force the batch path within the block (symmetry with scalar_mode)."""
-    prior = os.environ.get(ENV_VAR)
-    os.environ[ENV_VAR] = "1"
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = prior
 
 
 def as_addresses(addresses: Iterable[int] | np.ndarray) -> np.ndarray:
     """Coerce any address iterable to a 1-D int64 numpy array.
 
     Accepts ndarrays (cast without copy when already int64), ranges,
-    lists and generators — everything the scalar paths accepted.
+    lists, tuples and generators.
     """
     if isinstance(addresses, np.ndarray):
         arr = addresses.astype(np.int64, copy=False)

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from ..devices.specs import DeviceSpec
 from ..telemetry.tracer import get_tracer
-from .batch import as_addresses, batch_enabled
+from .batch import as_addresses
 from .setassoc import SetAssociativeCache
 
 
@@ -74,31 +74,22 @@ class CacheHierarchy:
     def access_many(self, addresses: Iterable[int]) -> None:
         """Feed a whole trace (iterable of byte addresses).
 
-        With batch simulation enabled (the default, see
-        :mod:`repro.cache.batch`) the whole trace runs through each
-        level's vectorized ``access_batch`` with level-filtered miss
-        propagation: L2 only sees L1's miss subset, in original order.
-        Each level's state depends only on its own input stream, and
-        that stream is identical to the scalar walk's, so the result
-        is bit-exact against the per-address oracle.
+        The trace runs through each level's vectorized ``access_batch``
+        with level-filtered miss propagation: L2 only sees L1's miss
+        subset, in original order.  Each level's state depends only on
+        its own input stream, and that stream is identical to the one a
+        loop of :meth:`access` feeds it, so the result is bit-exact
+        against the per-address walk.
         """
         with get_tracer().span("cache_sim_trace", phase="cache_sim") as sp:
-            if batch_enabled():
-                pending = as_addresses(addresses)
-                count = int(pending.size)
-                for cache in self.levels:
-                    if pending.size == 0:
-                        break
-                    hit_mask = cache.access_batch(pending)
-                    pending = pending[~hit_mask]
-                self.memory_accesses += int(pending.size)
-            else:
-                access = self.access
-                count = 0
-                for a in addresses:
-                    access(int(a))
-                    count += 1
-            sp.set_attribute("accesses", count)
+            pending = as_addresses(addresses)
+            sp.set_attribute("accesses", int(pending.size))
+            for cache in self.levels:
+                if pending.size == 0:
+                    break
+                hit_mask = cache.access_batch(pending)
+                pending = pending[~hit_mask]
+            self.memory_accesses += int(pending.size)
 
     # ------------------------------------------------------------------
     def miss_counts(self) -> dict[str, int]:

@@ -6,15 +6,14 @@ tags in LRU order.  Used by the problem-size verifier to reproduce the
 paper's PAPI-counter methodology: miss rates jump when a benchmark's
 working set no longer fits a level.
 
-Two trace entry points share the same canonical state (the per-set
-LRU dicts): the scalar :meth:`SetAssociativeCache.access` oracle and
-the vectorized :meth:`SetAssociativeCache.access_batch` used by
-``access_many`` when batch simulation is enabled (see
-:mod:`repro.cache.batch` and ``docs/performance.md``).  The batch
-path is bit-exact against the oracle: sets are mutually independent,
-so grouping a trace by set index and replaying each group in order
+The per-element :meth:`SetAssociativeCache.access` and the
+vectorized :meth:`SetAssociativeCache.access_batch` behind
+``access_many`` share the same canonical state (the per-set LRU
+dicts; see ``docs/performance.md``).  The trace path is bit-exact
+against a loop of ``access``: sets are mutually independent, so
+grouping a trace by set index and replaying each group in order
 produces the same final state and the same per-access hit/miss
-outcomes as the interleaved scalar walk.
+outcomes as the interleaved per-address walk.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .batch import as_addresses, batch_enabled
+from .batch import as_addresses
 
 
 def _is_pow2(x: int) -> bool:
@@ -141,12 +140,6 @@ class SetAssociativeCache:
 
     def access_many(self, addresses: Iterable[int]) -> int:
         """Run a sequence of byte addresses; returns the miss count added."""
-        if not batch_enabled():
-            before = self.stats.misses
-            access = self.access
-            for a in addresses:
-                access(a)
-            return self.stats.misses - before
         hit_mask = self.access_batch(as_addresses(addresses))
         return int(hit_mask.size - np.count_nonzero(hit_mask))
 
@@ -154,10 +147,10 @@ class SetAssociativeCache:
     def access_batch(self, addresses: np.ndarray) -> np.ndarray:
         """Access a whole int64 address array; returns the hit mask.
 
-        Bit-exact against a scalar :meth:`access` loop: the trace is
+        Bit-exact against a loop of :meth:`access`: the trace is
         decomposed into (set, tag) with one vector shift, grouped by
         set (sets never interact, so per-set replay order equals the
-        scalar interleaving restricted to that set), and within each
+        per-address interleaving restricted to that set), and within each
         set consecutive repeats of the same tag — guaranteed MRU hits
         that cannot change state — are compressed away before the
         remaining tags walk the LRU dict in a tight local loop.

@@ -5,14 +5,13 @@ one of its verification counters (§4.3).  We model a single-level,
 fully-associative, LRU data TLB — adequate for the page-locality
 question the counter answers.
 
-``access_many`` has a vectorized path (see :mod:`repro.cache.batch`)
-that is bit-exact against the scalar :meth:`TLB.access` oracle: when
-the pages a trace touches plus the already-resident set provably fit
-the TLB, no eviction can occur, so the hit/miss outcome of every
-access and the final recency order are computed in closed form from
-numpy set operations; otherwise the trace is compressed (consecutive
-same-page accesses are guaranteed MRU hits) and replayed through the
-same LRU dict the oracle uses.
+``access_many`` is vectorized and bit-exact against a loop of the
+per-element :meth:`TLB.access`: when the pages a trace touches plus
+the already-resident set provably fit the TLB, no eviction can occur,
+so the hit/miss outcome of every access and the final recency order
+are computed in closed form from numpy set operations; otherwise the
+trace is compressed (consecutive same-page accesses are guaranteed
+MRU hits) and replayed through the same LRU dict ``access`` uses.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from ..telemetry.tracer import get_tracer
-from .batch import as_addresses, batch_enabled
+from .batch import as_addresses
 from .setassoc import CacheStats
 
 
@@ -61,21 +60,14 @@ class TLB:
         """Translate a trace; returns misses added."""
         with get_tracer().span("tlb_trace", phase="cache_sim") as sp:
             before = self.stats.misses
-            if batch_enabled():
-                arr = as_addresses(addresses)
-                count = int(arr.size)
-                if count:
-                    self._translate_batch(arr >> self._shift)
-            else:
-                count = 0
-                for a in addresses:
-                    self.access(a)
-                    count += 1
-            sp.set_attribute("accesses", count)
+            arr = as_addresses(addresses)
+            sp.set_attribute("accesses", int(arr.size))
+            if arr.size:
+                self._translate_batch(arr >> self._shift)
             return self.stats.misses - before
 
     def _translate_batch(self, pages: np.ndarray) -> None:
-        """Replay a page trace; exact against the scalar oracle."""
+        """Replay a page trace; exact against a loop of :meth:`access`."""
         n = int(pages.size)
         resident = self._pages
         # Last-occurrence order of the touched pages: unique over the

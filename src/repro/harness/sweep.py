@@ -67,14 +67,10 @@ _log = logging.getLogger(__name__)
 #: "2": RunResult payloads gained the per-cell ``counters`` dict.
 MODEL_VERSION = "2"
 
-#: On-disk cache entry format.  ``2`` is the sharded npz envelope
-#: (sample arrays as real numpy arrays, everything else in a JSON
-#: ``meta`` string); ``1`` is the legacy single-JSON-file envelope,
-#: still read transparently but never written.
+#: On-disk cache entry format: the sharded npz envelope (sample arrays
+#: as real numpy arrays, everything else in a JSON ``meta`` string).
+#: Entries stamped with any other format are read as misses.
 CACHE_FORMAT = 2
-
-#: The envelope version legacy ``.json`` entries must carry to be served.
-LEGACY_CACHE_FORMAT = 1
 
 
 def cell_key(config: RunConfig, model_version: str | None = None) -> str:
@@ -213,34 +209,28 @@ def _encode_result_entry(entry: dict) -> bytes:
 
 
 def _decode_result_entry(blob: bytes) -> dict:
-    """Rebuild a cache envelope from either on-disk representation.
+    """Rebuild a cache envelope from its npz blob.
 
-    npz blobs (zip magic) are the canonical format; anything else is
-    parsed as a legacy format-1 JSON envelope.  Raises ``ValueError``
-    (or an ``OSError``/``KeyError`` subclass) on torn or alien bytes —
-    the caller maps that to a logged miss.
+    Raises ``ValueError`` (or an ``OSError``/``KeyError`` subclass) on
+    torn, alien or non-npz bytes — the caller maps that to a logged
+    miss.
     """
-    if blob[:2] == b"PK":  # zip magic: the npz envelope
-        try:
-            with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-                entry = json.loads(str(data["meta"]))
-                if entry.get("format") != CACHE_FORMAT:
-                    raise ValueError(
-                        f"cache entry format {entry.get('format')!r} != "
-                        f"{CACHE_FORMAT}")
-                entry["result"]["times_s"] = [
-                    float(t) for t in data["times_s"]]
-                entry["result"]["energies_j"] = [
-                    float(e) for e in data["energies_j"]]
-                return entry
-        except zipfile.BadZipFile as exc:  # torn write / truncation
-            raise ValueError(f"torn npz cache entry: {exc}") from exc
-    entry = json.loads(blob.decode("utf-8"))
-    if entry.get("format") != LEGACY_CACHE_FORMAT:
-        raise ValueError(
-            f"legacy cache entry format {entry.get('format')!r} != "
-            f"{LEGACY_CACHE_FORMAT}")
-    return entry
+    if blob[:2] != b"PK":  # zip magic: the npz envelope
+        raise ValueError("cache entry is not an npz file")
+    try:
+        with np.load(io.BytesIO(blob), allow_pickle=False) as data:
+            entry = json.loads(str(data["meta"]))
+            if entry.get("format") != CACHE_FORMAT:
+                raise ValueError(
+                    f"cache entry format {entry.get('format')!r} != "
+                    f"{CACHE_FORMAT}")
+            entry["result"]["times_s"] = [
+                float(t) for t in data["times_s"]]
+            entry["result"]["energies_j"] = [
+                float(e) for e in data["energies_j"]]
+            return entry
+    except zipfile.BadZipFile as exc:  # torn write / truncation
+        raise ValueError(f"torn npz cache entry: {exc}") from exc
 
 
 class SweepCache:
@@ -255,8 +245,7 @@ class SweepCache:
 
     Storage is pluggable (:class:`~repro.service.store.CacheBackend`):
     the default :class:`~repro.service.store.LocalCacheBackend` keeps
-    the sharded directory layout (and transparently reads entries from
-    the legacy flat/JSON layouts), while a
+    the sharded directory layout, while a
     :class:`~repro.service.store.RemoteCacheBackend`
     (``remote://host:port``) lets many worker hosts share the store of
     one ``repro serve --cache-only`` instance.  Encoding lives here, so
@@ -265,8 +254,8 @@ class SweepCache:
     Local writes are atomic (temp file + ``os.replace``) and parent
     shard directories are created race-tolerantly, so concurrent
     processes sharing a store never observe torn entries; torn
-    *content* (a truncated npz from a crashed legacy writer, a corrupt
-    remote blob) is read as a miss with a logged warning, never a
+    *content* (a truncated npz, a corrupt remote blob, a blob that is
+    not an npz file) is read as a miss with a logged warning, never a
     crash.
     """
 

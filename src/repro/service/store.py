@@ -14,8 +14,7 @@ extracted here behind a minimal byte-oriented protocol:
   backend serves byte-identical entries.
 * :class:`LocalCacheBackend` — the on-disk layout: sharded
   ``<root>/<key[:2]>/<key>.npz`` entries (``docs/formats.md``) with
-  atomic writes, plus transparent reads of the two legacy layouts
-  (sharded ``<key[:2]>/<key>.json`` and flat ``<key>.json``).
+  atomic writes.
 * :class:`RemoteCacheBackend` — a client of a ``repro serve
   --cache-only`` instance, so multiple worker hosts share one store
   (the GEMMbench collaborative-repository topology).  Stateless: one
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import os
 import socket
+import uuid
 from pathlib import Path
 from typing import Iterator, Protocol, runtime_checkable
 
@@ -101,18 +101,16 @@ class LocalCacheBackend:
         result   <root>/<key[:2]>/<key>.npz
         artifact <root>/analysis/<key[:2]>/<key>.npz
 
-    ``read`` additionally consults the legacy *result* layouts written
-    by earlier releases — sharded ``<key[:2]>/<key>.json`` and flat
-    ``<key>.json`` — so an existing cache keeps serving hits across
-    the layout change; new writes always use the npz layout.
+    Nothing else under the root is an entry: a stray file in another
+    layout is neither read nor listed.
 
     Writes are atomic: parent directories are created race-tolerantly
     (``exist_ok=True`` — two processes sharing a store may shard
-    concurrently), the blob lands in a temp file, and ``os.replace``
-    publishes it.  A reader can therefore never observe a torn entry
-    under this backend; torn *content* (e.g. a file truncated by a
-    crashed legacy writer or a full disk) is the decoder's to treat as
-    a miss.
+    concurrently), the blob lands in a temp file of its own, and
+    ``os.replace`` publishes it.  Concurrent writers of one key
+    therefore never share a temp file, and a reader can never observe
+    a torn entry under this backend; torn *content* (e.g. a file
+    truncated by a full disk) is the decoder's to treat as a miss.
     """
 
     def __init__(self, root: str | Path):
@@ -126,47 +124,39 @@ class LocalCacheBackend:
         base = self.root / "analysis" if kind == "artifact" else self.root
         return base / key[:2] / f"{key}.npz"
 
-    def legacy_paths(self, kind: str, key: str) -> list[Path]:
-        """Older result layouts consulted on read, newest first."""
-        if kind != "result":
-            return []
-        return [self.root / key[:2] / f"{key}.json",
-                self.root / f"{key}.json"]
-
     # ------------------------------------------------------------------
     def read(self, kind: str, key: str) -> bytes | None:
-        for path in (self.path_for(kind, key), *self.legacy_paths(kind, key)):
-            try:
-                return path.read_bytes()
-            except FileNotFoundError:
-                continue
-            except OSError as exc:
-                raise CacheBackendError(
-                    f"cannot read cache entry {path}: {exc}") from exc
-        return None
+        path = self.path_for(kind, key)
+        try:
+            return path.read_bytes()
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise CacheBackendError(
+                f"cannot read cache entry {path}: {exc}") from exc
 
     def write(self, kind: str, key: str, blob: bytes) -> None:
         path = self.path_for(kind, key)
+        tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
             tmp.write_bytes(blob)
             os.replace(tmp, path)
         except OSError as exc:
+            tmp.unlink(missing_ok=True)
             raise CacheBackendError(
                 f"cannot write cache entry {path}: {exc}") from exc
 
     def keys(self, kind: str) -> list[str]:
         _check_kind(kind)
-        return sorted({path.stem for path in self._entry_paths(kind)})
+        return sorted(path.stem for path in self._entry_paths(kind))
 
     def delete(self, kind: str, key: str) -> bool:
-        existed = False
-        for path in (self.path_for(kind, key), *self.legacy_paths(kind, key)):
-            if path.exists():
-                path.unlink(missing_ok=True)
-                existed = True
-        return existed
+        try:
+            self.path_for(kind, key).unlink()
+        except FileNotFoundError:
+            return False
+        return True
 
     def describe(self) -> str:
         return str(self.root)
@@ -176,15 +166,10 @@ class LocalCacheBackend:
         if kind == "artifact":
             yield from (self.root / "analysis").glob("*/*.npz")
             return
-        # result entries: canonical npz shards, then both legacy layouts;
         # the analysis/ subtree is a different key space and is excluded.
         for path in self.root.glob("*/*.npz"):
             if path.parent.name != "analysis":
                 yield path
-        for path in self.root.glob("*/*.json"):
-            if path.parent.name != "analysis":
-                yield path
-        yield from self.root.glob("*.json")
 
     def __repr__(self) -> str:
         return f"<LocalCacheBackend {self.root}>"

@@ -1,11 +1,13 @@
-"""Batch-vs-scalar equivalence for the vectorized simulators.
+"""Per-element method vs trace entry point for the cache simulators.
 
-Every model in :mod:`repro.cache` keeps its original per-address loop
-as the scalar oracle (``REPRO_SIM_BATCH=0``) next to the numpy batch
-path used by default.  These property tests drive random traces
-through both and require *bit-exact* agreement — outcomes, counters,
-and the internal LRU/counter state — plus a perf smoke test pinning
-the batch path's headroom on a 1M-address trace.
+Every model in :mod:`repro.cache` has a per-element method (``access``
+/ ``predict_and_update``) next to its vectorized trace entry point
+(``access_many`` / ``run_trace``).  These property tests drive random
+traces through the trace entry point of one instance and through a
+loop of the per-element method on a clone, and require *bit-exact*
+agreement — outcomes, counters, and the internal LRU/counter state —
+plus a perf smoke test pinning the trace path's headroom on a
+1M-address trace.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,13 +24,9 @@ from repro.cache import (
     CacheHierarchy,
     CacheStats,
     SetAssociativeCache,
-    StreamPrefetcher,
     TLB,
-    batch_enabled,
-    batch_mode,
-    scalar_mode,
 )
-from repro.cache.batch import ENV_VAR, as_addresses
+from repro.cache.batch import as_addresses
 
 SLOW = settings(max_examples=40, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -71,12 +68,10 @@ def _stats_tuple(stats: CacheStats) -> tuple[int, int, int]:
 @given(cache=small_caches(), trace=traces())
 def test_setassoc_batch_matches_scalar(cache, trace):
     other = _clone(cache)
-    with scalar_mode():
-        scalar_hits = [cache.access(a) for a in trace]
-        scalar_misses = len(trace) - sum(scalar_hits)
-    with batch_mode():
-        batch_misses = other.access_many(trace)
-        batch_hits = other.access_batch(np.asarray([], dtype=np.int64))
+    scalar_hits = [cache.access(a) for a in trace]
+    scalar_misses = len(trace) - sum(scalar_hits)
+    batch_misses = other.access_many(trace)
+    batch_hits = other.access_batch(np.asarray([], dtype=np.int64))
     assert batch_misses == scalar_misses
     assert batch_hits.size == 0
     assert _stats_tuple(other.stats) == _stats_tuple(cache.stats)
@@ -88,8 +83,7 @@ def test_setassoc_batch_matches_scalar(cache, trace):
 @given(cache=small_caches(), trace=traces())
 def test_setassoc_hit_mask_matches_oracle(cache, trace):
     other = _clone(cache)
-    with scalar_mode():
-        scalar_hits = [cache.access(a) for a in trace]
+    scalar_hits = [cache.access(a) for a in trace]
     mask = other.access_batch(np.asarray(trace, dtype=np.int64))
     assert mask.tolist() == scalar_hits
 
@@ -98,18 +92,17 @@ def test_setassoc_hit_mask_matches_oracle(cache, trace):
 @given(cache=small_caches(), chunks=st.lists(traces(max_len=60),
                                              min_size=1, max_size=5))
 def test_setassoc_scalar_and_batch_interleave(cache, chunks):
-    """Both paths share the canonical state, so calls may alternate."""
+    """``access`` and ``access_many`` share the canonical state, so
+    calls may alternate on one instance."""
     other = _clone(cache)
     for i, chunk in enumerate(chunks):
+        for a in chunk:
+            cache.access(a)
         if i % 2:
-            with scalar_mode():
-                cache.access_many(chunk)
-                other.access_many(chunk)
+            for a in chunk:
+                other.access(a)
         else:
-            with scalar_mode():
-                cache.access_many(chunk)
-            with batch_mode():
-                other.access_many(chunk)
+            other.access_many(chunk)
     assert _stats_tuple(other.stats) == _stats_tuple(cache.stats)
     assert [list(s) for s in other._sets] == [list(s) for s in cache._sets]
 
@@ -129,10 +122,9 @@ def _small_hierarchy() -> CacheHierarchy:
 @given(trace=traces(max_address=1 << 15))
 def test_hierarchy_batch_matches_scalar(trace):
     ref, vec = _small_hierarchy(), _small_hierarchy()
-    with scalar_mode():
-        ref.access_many(trace)
-    with batch_mode():
-        vec.access_many(trace)
+    levels = [ref.access(a) for a in trace]
+    vec.access_many(trace)
+    assert vec.memory_accesses == levels.count(len(ref.levels))
     assert vec.memory_accesses == ref.memory_accesses
     assert vec.miss_counts() == ref.miss_counts()
     for lr, lv in zip(ref.levels, vec.levels):
@@ -148,10 +140,8 @@ def test_hierarchy_batch_matches_scalar(trace):
        entries=st.sampled_from([4, 8, 64]))
 def test_tlb_batch_matches_scalar(trace, entries):
     ref, vec = TLB(entries=entries), TLB(entries=entries)
-    with scalar_mode():
-        ref_misses = ref.access_many(trace)
-    with batch_mode():
-        vec_misses = vec.access_many(trace)
+    ref_misses = len(trace) - sum(ref.access(a) for a in trace)
+    vec_misses = vec.access_many(trace)
     assert vec_misses == ref_misses
     assert _stats_tuple(vec.stats) == _stats_tuple(ref.stats)
     # The final recency (insertion) order must match, not just the set.
@@ -164,10 +154,9 @@ def test_tlb_eviction_fallback_matches_scalar(pages):
     """Page universe >> entries forces the compressed-replay path."""
     trace = [p * 4096 for p in pages]
     ref, vec = TLB(entries=8), TLB(entries=8)
-    with scalar_mode():
-        ref.access_many(trace)
-    with batch_mode():
-        vec.access_many(trace)
+    for a in trace:
+        ref.access(a)
+    vec.access_many(trace)
     assert _stats_tuple(vec.stats) == _stats_tuple(ref.stats)
     assert list(vec._pages) == list(ref._pages)
 
@@ -177,12 +166,12 @@ def test_tlb_batch_on_warm_state():
     ref, vec = TLB(entries=6), TLB(entries=6)
     warmup = [i * 4096 for i in (0, 1, 2, 3)]
     trace = [i * 4096 for i in (2, 4, 0, 4, 5)]
-    with scalar_mode():
-        ref.access_many(warmup)
-        vec.access_many(warmup)
-        ref.access_many(trace)
-    with batch_mode():
-        vec.access_many(trace)
+    for a in warmup:
+        ref.access(a)
+        vec.access(a)
+    for a in trace:
+        ref.access(a)
+    vec.access_many(trace)
     assert _stats_tuple(vec.stats) == _stats_tuple(ref.stats)
     assert list(vec._pages) == list(ref._pages)
 
@@ -197,11 +186,10 @@ def test_branch_batch_matches_scalar(n, data):
                              min_size=n, max_size=n))
     outcomes = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     ref, vec = BranchPredictor(table_size=64), BranchPredictor(table_size=64)
-    with scalar_mode():
-        ref_mis = ref.run_trace(pcs, outcomes)
-    with batch_mode():
-        vec_mis = vec.run_trace(pcs, outcomes)
-    assert vec_mis == ref_mis
+    for pc, taken in zip(pcs, outcomes):
+        ref.predict_and_update(pc, taken)
+    vec_mis = vec.run_trace(pcs, outcomes)
+    assert vec_mis == ref.mispredictions
     assert vec.branches == ref.branches
     assert vec.mispredictions == ref.mispredictions
     assert np.array_equal(vec._table, ref._table)
@@ -212,55 +200,16 @@ def test_branch_long_runs_saturate_identically():
     pcs = [0x40] * 500 + [0x40] * 500
     outcomes = [True] * 500 + [False] * 500
     ref, vec = BranchPredictor(), BranchPredictor()
-    with scalar_mode():
-        ref.run_trace(pcs, outcomes)
-    with batch_mode():
-        vec.run_trace(pcs, outcomes)
+    for pc, taken in zip(pcs, outcomes):
+        ref.predict_and_update(pc, taken)
+    vec.run_trace(pcs, outcomes)
     assert vec.mispredictions == ref.mispredictions
     assert np.array_equal(vec._table, ref._table)
 
 
 # ----------------------------------------------------------------------
-# Prefetcher
+# Coercion plumbing
 # ----------------------------------------------------------------------
-@SLOW
-@given(trace=traces(max_address=1 << 14, max_len=200))
-def test_prefetcher_batch_matches_scalar(trace):
-    ref = StreamPrefetcher(_small_hierarchy(), streams=2, depth=2)
-    vec = StreamPrefetcher(_small_hierarchy(), streams=2, depth=2)
-    with scalar_mode():
-        ref.access_many(trace)
-    with batch_mode():
-        vec.access_many(trace)
-    assert vars(vec.stats) == vars(ref.stats)
-    assert vec.hierarchy.miss_counts() == ref.hierarchy.miss_counts()
-    assert vec._prefetched_lines == ref._prefetched_lines
-
-
-# ----------------------------------------------------------------------
-# Toggle and coercion plumbing
-# ----------------------------------------------------------------------
-def test_batch_toggle_env_values(monkeypatch):
-    for value in ("0", "false", "OFF", " no "):
-        monkeypatch.setenv(ENV_VAR, value)
-        assert not batch_enabled()
-    for value in ("1", "true", "on", ""):
-        monkeypatch.setenv(ENV_VAR, value)
-        assert batch_enabled()
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert batch_enabled()  # default is on
-
-
-def test_mode_context_managers_restore_prior(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "0")
-    with batch_mode():
-        assert batch_enabled()
-        with scalar_mode():
-            assert not batch_enabled()
-        assert batch_enabled()
-    assert not batch_enabled()
-
-
 def test_as_addresses_accepts_every_iterable():
     expected = [1, 2, 3]
     for source in ([1, 2, 3], (1, 2, 3), range(1, 4),
@@ -289,8 +238,7 @@ def test_cache_stats_record_batch_coerces_numpy_ints():
 
 def test_cache_stats_stay_python_int_through_batch_access():
     cache = SetAssociativeCache(512, associativity=2)
-    with batch_mode():
-        cache.access_many(np.arange(0, 8192, 64, dtype=np.int64))
+    cache.access_many(np.arange(0, 8192, 64, dtype=np.int64))
     for value in vars(cache.stats).values():
         assert type(value) is int
     json.dumps(vars(cache.stats))
@@ -316,12 +264,11 @@ def test_batch_perf_smoke_one_million_addresses():
     hierarchy = _small_hierarchy()
     tlb = TLB(entries=64)
     start = time.perf_counter()
-    with batch_mode():
-        hierarchy.access_many(trace)
-        tlb.access_many(trace)
+    hierarchy.access_many(trace)
+    tlb.access_many(trace)
     elapsed = time.perf_counter() - start
     assert hierarchy.levels[0].stats.accesses == 1_000_000
     assert tlb.stats.accesses == 1_000_000
-    # Generous: the batch path does this in well under a second on any
-    # plausible host; the scalar oracle takes tens of seconds.
-    assert elapsed < 30.0, f"batch path took {elapsed:.1f}s on 1M addresses"
+    # Generous: the trace path does this in well under a second on any
+    # plausible host; a per-address loop takes tens of seconds.
+    assert elapsed < 30.0, f"trace path took {elapsed:.1f}s on 1M addresses"

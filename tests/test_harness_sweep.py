@@ -195,40 +195,6 @@ class TestSweepCache:
         cache.path_for(key).write_bytes(_encode_result_entry(entry))
         assert cache.get(key) is None
 
-    def test_legacy_json_layouts_served(self, tmp_path):
-        """Entries written by the pre-npz layouts — sharded and flat
-        JSON — are still served transparently."""
-        import dataclasses
-
-        from repro.harness.sweep import LEGACY_CACHE_FORMAT, MODEL_VERSION
-
-        cache = SweepCache(tmp_path)
-        configs = _configs()[:2]
-        fresh = run_sweep(configs, jobs=1)
-        for layout, (config, result) in zip(
-                ("sharded", "flat"), zip(configs, fresh.results)):
-            key = cache.key(config)
-            entry = json.dumps({
-                "format": LEGACY_CACHE_FORMAT,
-                "model_version": MODEL_VERSION,
-                "key": key,
-                "config": dataclasses.asdict(config),
-                "created_unix": 0.0,
-                "result": result_to_payload(result),
-            }, default=str)
-            if layout == "sharded":
-                path = tmp_path / key[:2] / f"{key}.json"
-                path.parent.mkdir(parents=True, exist_ok=True)
-            else:
-                path = tmp_path / f"{key}.json"
-            path.write_text(entry)
-        assert len(cache) == 2
-        outcome = run_sweep(configs, jobs=1, cache=cache)
-        assert (outcome.computed, outcome.cached) == (0, 2)
-        for a, b in zip(fresh.results, outcome.results):
-            np.testing.assert_array_equal(a.times_s, b.times_s)
-            np.testing.assert_array_equal(a.energies_j, b.energies_j)
-
     def test_entries_land_in_sharded_npz_layout(self, tmp_path):
         cache = SweepCache(tmp_path)
         config = RunConfig("fft", "tiny", "i7-6700K", samples=4)

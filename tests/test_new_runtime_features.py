@@ -1,11 +1,9 @@
-"""Sub-buffers, out-of-order queues, LSB files, prefetcher, transfers."""
+"""Sub-buffers, out-of-order queues, LSB files, transfers."""
 
 import numpy as np
 import pytest
 
 from repro import ocl
-from repro.cache import CacheHierarchy, StreamPrefetcher
-from repro.devices import get_device
 from repro.harness import measure_transfers, transfer_table
 from repro.ocl import InvalidMemObject, InvalidValue, QueueProperties, SubBuffer
 from repro.scibench import Recorder, lsb
@@ -139,47 +137,6 @@ class TestLSBFormat:
             lsb.loads("not a header\n1 kernel 2 3\n")
         with pytest.raises(ValueError):
             lsb.loads("id region time_us overhead_ns\n1 kernel 2\n")
-
-
-class TestStreamPrefetcher:
-    def _prefetcher(self, **kwargs):
-        h = CacheHierarchy.for_device(get_device("i7-6700K"))
-        return StreamPrefetcher(h, **kwargs)
-
-    def test_sequential_stream_covered(self):
-        pf = self._prefetcher(depth=4)
-        pf.access_many(np.arange(0, 1 << 19, 64))
-        assert pf.stats.coverage > 0.95
-        assert pf.stats.demand_miss_rate < 0.01
-
-    def test_random_stream_not_covered(self, rng):
-        pf = self._prefetcher(depth=4)
-        pf.access_many(rng.integers(0, 1 << 26, 4000) * 64)
-        assert pf.stats.coverage < 0.3
-        assert pf.stats.demand_miss_rate > 0.5
-
-    def test_strided_stream_detected(self):
-        pf = self._prefetcher(depth=4)
-        pf.access_many(np.arange(0, 1 << 20, 256))  # 4-line stride
-        assert pf.stats.coverage > 0.9
-
-    def test_counters_consistent(self):
-        pf = self._prefetcher()
-        pf.access_many(np.arange(0, 1 << 16, 64))
-        s = pf.stats
-        assert s.demand_accesses == (1 << 16) // 64
-        assert 0 <= s.prefetch_hits <= s.prefetches_issued
-
-    def test_invalid_params(self):
-        h = CacheHierarchy.for_device(get_device("i7-6700K"))
-        with pytest.raises(ValueError):
-            StreamPrefetcher(h, depth=0)
-
-    def test_reset(self):
-        pf = self._prefetcher()
-        pf.access_many(np.arange(0, 4096, 64))
-        pf.reset()
-        assert pf.stats.demand_accesses == 0
 
 
 class TestTransfers:

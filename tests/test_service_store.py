@@ -15,6 +15,7 @@ from repro.service.protocol import (
     encode_record,
     validate_request,
 )
+from repro.service import store
 from repro.service.store import (
     CacheBackend,
     CacheBackendError,
@@ -101,29 +102,54 @@ class TestLocalCacheBackend:
         backend.write("result", "aa" * 32, b"x")
         assert not list(tmp_path.rglob("*.tmp"))
 
-    def test_legacy_layouts_consulted(self, tmp_path):
+    def test_concurrent_writers_of_one_key(self, tmp_path, monkeypatch):
+        """A second write of the key lands between the first write's
+        temp file and its publish: both succeed, the entry is one
+        whole blob, and no temp file is left behind."""
         backend = LocalCacheBackend(tmp_path)
-        sharded, flat = "ab" + "1" * 62, "cd" + "2" * 62
-        (tmp_path / "ab").mkdir()
-        (tmp_path / "ab" / f"{sharded}.json").write_text("sharded-legacy")
-        (tmp_path / f"{flat}.json").write_text("flat-legacy")
-        assert backend.read("result", sharded) == b"sharded-legacy"
-        assert backend.read("result", flat) == b"flat-legacy"
-        assert backend.keys("result") == sorted([sharded, flat])
+        key = "ab" + "7" * 62
+        first, second = b"first" * 100, b"second" * 100
+        real_replace = store.os.replace
+        calls = []
 
-    def test_canonical_shadows_legacy(self, tmp_path):
+        def replace(src, dst):
+            calls.append(src)
+            if len(calls) == 1:
+                backend.write("result", key, second)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(store.os, "replace", replace)
+        backend.write("result", key, first)
+        monkeypatch.undo()
+        assert len(calls) == 2 and calls[0] != calls[1]
+        assert backend.read("result", key) in (first, second)
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_failed_publish_removes_temp_file(self, tmp_path, monkeypatch):
         backend = LocalCacheBackend(tmp_path)
-        key = "ab" + "3" * 62
-        (tmp_path / f"{key}.json").write_text("old")
-        backend.write("result", key, b"new")
-        assert backend.read("result", key) == b"new"
-        assert backend.keys("result") == [key]  # deduped across layouts
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store.os, "replace", replace)
+        with pytest.raises(CacheBackendError):
+            backend.write("result", "ab" + "8" * 62, b"x")
+        monkeypatch.undo()
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_stray_json_neither_served_nor_listed(self, tmp_path):
+        backend = LocalCacheBackend(tmp_path)
+        key = "ab" + "1" * 62
+        (tmp_path / "ab").mkdir()
+        (tmp_path / "ab" / f"{key}.json").write_text("stray")
+        (tmp_path / f"{key}.json").write_text("stray")
+        assert backend.read("result", key) is None
+        assert backend.keys("result") == []
 
     def test_delete_covers_all_layouts(self, tmp_path):
         backend = LocalCacheBackend(tmp_path)
         key = "ab" + "4" * 62
         backend.write("result", key, b"new")
-        (tmp_path / f"{key}.json").write_text("old")
         assert backend.delete("result", key) is True
         assert backend.read("result", key) is None
         assert backend.delete("result", key) is False
