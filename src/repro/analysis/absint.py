@@ -40,9 +40,12 @@ dependency lattice carried next to each interval.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from ..ocl.clsource import CLSourceError
+from ..telemetry.metrics import count_memo_lookup
 from ..telemetry.tracer import get_tracer
 from .cfg import stmt_exprs, walk_expr, walk_stmts
 from .frontend import (
@@ -82,7 +85,20 @@ INF = float("inf")
 
 
 class SymExpr:
-    """Base class of the symbolic endpoint language."""
+    """Base class of the symbolic endpoint language.
+
+    :func:`sym_eval` caches each expression's compiled evaluator on the
+    instance (``_fn``); the cache is not part of the value, so it takes
+    no part in ``==``/``hash`` and is dropped from the pickled state.
+    """
+
+    #: Compiled evaluator, set on the instance by the first evaluation.
+    _fn: Callable[[dict[str, float]], float] | None = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_fn", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -176,24 +192,84 @@ _NUM_OPS = {
 
 
 def sym_eval(expr: SymExpr, env: dict[str, float]) -> float:
-    """Evaluate a symbolic endpoint with concrete launch values."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Sym):
-        if expr.name not in env:
-            raise CLSourceError(
-                f"unbound symbol {expr.name!r} while evaluating a static "
-                f"footprint (missing scalar in the launch model?)"
-            )
-        return env[expr.name]
-    if isinstance(expr, SBin):
-        return _NUM_OPS[expr.op](sym_eval(expr.lhs, env),
-                                 sym_eval(expr.rhs, env))
-    if isinstance(expr, SMin):
-        return min(sym_eval(a, env) for a in expr.args)
-    if isinstance(expr, SMax):
-        return max(sym_eval(a, env) for a in expr.args)
-    raise TypeError(f"unknown symbolic node {type(expr).__name__}")
+    """Evaluate a symbolic endpoint with concrete launch values.
+
+    The first evaluation compiles the expression into one Python
+    function (:func:`_compile`) and caches it on the expression; later
+    evaluations only call it.
+    """
+    fn = expr._fn
+    if fn is None:
+        fn = _compile(expr)
+        object.__setattr__(expr, "_fn", fn)
+    try:
+        return fn(env)
+    except KeyError as exc:
+        raise CLSourceError(
+            f"unbound symbol {exc.args[0]!r} while evaluating a static "
+            f"footprint (missing scalar in the launch model?)"
+        ) from None
+
+
+def _compile(expr: SymExpr) -> Callable[[dict[str, float]], float]:
+    """One Python function evaluating ``expr`` against a launch env.
+
+    The body is straight-line code with one statement per tree node in
+    the tree walk's post-order, so operands are evaluated (and a
+    missing symbol is met) in the same left-to-right order as a
+    recursive evaluation.  ``+`` and ``-`` are inlined; every other
+    operator calls its :data:`_NUM_OPS` helper, so the ``0 * inf``
+    rule, C truncating division and the int/float type of each result
+    are those of the helpers.  Symbol names enter the source only
+    through ``repr()``; constants and helpers are bound through the
+    closure, never spliced in as text.
+    """
+    values: list = []  # closure-bound constants and helpers
+    lines: list[str] = []
+    names: dict[int, str] = {}  # id(node) -> local holding its value
+
+    def bind(value: object) -> str:
+        values.append(value)
+        return f"k{len(values) - 1}"
+
+    def emit(node: SymExpr) -> str:
+        done = names.get(id(node))
+        if done is not None:
+            return done  # a shared subtree: evaluated once
+        if isinstance(node, Const):
+            out = bind(node.value)
+        elif isinstance(node, Sym):
+            out = f"t{len(lines)}"
+            lines.append(f"{out} = env[{node.name!r}]")
+        elif isinstance(node, SBin):
+            lhs, rhs = emit(node.lhs), emit(node.rhs)
+            if node.op in ("+", "-"):
+                value = f"{lhs} {node.op} {rhs}"
+            else:
+                value = f"{bind(_NUM_OPS[node.op])}({lhs}, {rhs})"
+            out = f"t{len(lines)}"
+            lines.append(f"{out} = {value}")
+        elif isinstance(node, (SMin, SMax)):
+            args = [emit(a) for a in node.args]
+            func = "min" if isinstance(node, SMin) else "max"
+            out = f"t{len(lines)}"
+            lines.append(f"{out} = {func}([{', '.join(args)}])")
+        else:
+            raise TypeError(f"unknown symbolic node {type(node).__name__}")
+        names[id(node)] = out
+        return out
+
+    result = emit(expr)
+    unpack = ""
+    if values:
+        unpack = f"    {', '.join(f'k{i}' for i in range(len(values)))}, = values\n"
+    body = "".join(f"        {line}\n" for line in lines)
+    source = (f"def make(values):\n{unpack}"
+              f"    def evaluate(env):\n{body}        return {result}\n"
+              f"    return evaluate\n")
+    scope: dict = {}
+    exec(compile(source, "<sym_eval>", "exec"), scope)
+    return scope["make"](tuple(values))
 
 
 def _fold(op: str, lhs: SymExpr, rhs: SymExpr) -> SymExpr:
@@ -1453,6 +1529,54 @@ def interpret_kernel(kernel: KernelDef,
         return _Interp(kernel, macros or {}).run()
 
 
+#: In-process memo capacity (insertion-ordered LRU): one entry per
+#: (source, macros) pair, a few per benchmark.
+_SUMMARIES_MAX = 64
+
+_summaries: dict[tuple, tuple[dict[str, KernelDef],
+                              dict[str, KernelSummary]]] = {}
+
+
+def clear_summaries() -> None:
+    """Drop the in-process kernel-summary memo (tests)."""
+    _summaries.clear()
+
+
+def kernel_summaries(source: str, macros: dict[str, float],
+                     ) -> tuple[dict[str, KernelDef],
+                                dict[str, KernelSummary]]:
+    """Every kernel of ``source`` and its summary under ``macros``.
+
+    Memoized per (source, macros): the working-set, trace, race and
+    AIWC stages all interpret the same kernels, and the shared
+    summaries keep the compiled :func:`sym_eval` evaluators cached on
+    their expressions.  The key holds each macro's value with its type,
+    since an ``int`` and a ``float`` macro give different constants.
+    A miss runs with child spans muted, so a trace's shape does not
+    depend on the memo.  Callers must not mutate the result.
+    """
+    key = (source, tuple((name, type(value), repr(value))
+                         for name, value in macros.items()))
+    tracer = get_tracer()
+    with tracer.span("absint_summaries", phase="absint") as span:
+        entry = _summaries.pop(key, None)
+        span.set_attribute("hit", entry is not None)
+        count_memo_lookup("summaries", entry is not None)
+        if entry is None:
+            with tracer.muted():
+                start = time.perf_counter()
+                kernels = {k.name: k for k in parse_source(source).kernels}
+                parsed = time.perf_counter()
+                entry = (kernels, {name: interpret_kernel(kernel, macros)
+                                   for name, kernel in kernels.items()})
+            span.set_attribute("parse_s", parsed - start)
+            span.set_attribute("interpret_s", time.perf_counter() - parsed)
+        _summaries[key] = entry  # (re)insert at the most recent position
+        while len(_summaries) > _SUMMARIES_MAX:
+            _summaries.pop(next(iter(_summaries)))
+    return entry
+
+
 # ---------------------------------------------------------------------------
 # Launch-model evaluation: the §4.4 working-set cross-check
 # ---------------------------------------------------------------------------
@@ -1537,9 +1661,7 @@ def static_footprint(model: "object") -> StaticFootprint:
 
 def _static_footprint(model: "object") -> StaticFootprint:
     """The :func:`static_footprint` evaluation, outside its phase span."""
-    kernels = {k.name: k for k in parse_source(model.source).kernels}  # type: ignore[attr-defined]
-    macros = dict(model.macros)  # type: ignore[attr-defined]
-    summaries: dict[str, KernelSummary] = {}
+    _, summaries = kernel_summaries(model.source, dict(model.macros))  # type: ignore[attr-defined]
     computed: dict[str, int] = {key: 0 for key in model.buffers}  # type: ignore[attr-defined]
     fallback: set[str] = set()
     strides: dict[str, dict[str, str]] = {}
@@ -1547,12 +1669,11 @@ def _static_footprint(model: "object") -> StaticFootprint:
 
     for launch in model.launches:  # type: ignore[attr-defined]
         name = launch.kernel
-        if name not in summaries:
-            if name not in kernels:
+        if name not in strides:
+            if name not in summaries:
                 raise CLSourceError(
                     f"launch model references unknown kernel {name!r}"
                 )
-            summaries[name] = interpret_kernel(kernels[name], macros)
             strides[name] = summaries[name].strides()
             symbolic[name] = {
                 a.param: str(a.index)

@@ -62,12 +62,13 @@ from .absint import (
     Access,
     KernelSummary,
     _launch_env,
-    interpret_kernel,
+    interpret_kernel,  # noqa: F401  (wrapped by name by perfbench/layers.py)
+    kernel_summaries,
     stride_class,
     sym_eval,
 )
 from .findings import Finding, default_severity
-from .frontend import parse_source
+from .frontend import parse_source  # noqa: F401  (wrapped by name by perfbench/layers.py)
 
 #: Environment toggle selecting the trace provenance for the cache
 #: simulator and counter replay.
@@ -246,21 +247,17 @@ def synthesize_trace(
 def _synthesize_trace(
     model: object, max_len: int
 ) -> tuple[np.ndarray, dict[str, tuple[int, int]]]:
-    kernels = {k.name: k for k in parse_source(model.source).kernels}  # type: ignore[attr-defined]
-    macros = dict(model.macros)  # type: ignore[attr-defined]
+    _, summaries = kernel_summaries(model.source, dict(model.macros))  # type: ignore[attr-defined]
     layout = buffer_layout(model)
     launches = list(model.launches)  # type: ignore[attr-defined]
     per_launch = max(max_len // max(len(launches), 1), 64)
-    summaries: dict[str, KernelSummary] = {}
     parts: list[np.ndarray] = []
     for launch in launches:
         name = launch.kernel
-        if name not in kernels:
+        if name not in summaries:
             raise CLSourceError(
                 f"launch model references unknown kernel {name!r}"
             )
-        if name not in summaries:
-            summaries[name] = interpret_kernel(kernels[name], macros)
         summary = summaries[name]
         bound = dict(launch.buffers)
         if summary.opaque:
@@ -560,21 +557,17 @@ def access_model_findings(
 ) -> list[Finding]:
     """Race / coalescing / bank-conflict findings for one launch model."""
     try:
-        kernels = {k.name: k for k in parse_source(model.source).kernels}  # type: ignore[attr-defined]
+        _, summaries = kernel_summaries(model.source, dict(model.macros))  # type: ignore[attr-defined]
     except CLSourceError:
         return []  # the build-failure finding is reported elsewhere
-    macros = dict(model.macros)  # type: ignore[attr-defined]
     suppressions = suppressions or {}
     findings: list[Finding] = []
-    summaries: dict[str, KernelSummary] = {}
     seen: set[str] = set()
     for launch in model.launches:  # type: ignore[attr-defined]
         name = launch.kernel
-        if name in seen or name not in kernels:
+        if name in seen or name not in summaries:
             continue
         seen.add(name)
-        if name not in summaries:
-            summaries[name] = interpret_kernel(kernels[name], macros)
         summary = summaries[name]
         if summary.opaque:
             continue
@@ -776,16 +769,12 @@ def compare_benchmark_traces(
 
 def ir_stride_classes(model: object) -> set[str]:
     """All stride classes of the model's global accesses (any launch)."""
-    kernels = {k.name: k for k in parse_source(model.source).kernels}  # type: ignore[attr-defined]
-    macros = dict(model.macros)  # type: ignore[attr-defined]
+    _, summaries = kernel_summaries(model.source, dict(model.macros))  # type: ignore[attr-defined]
     classes: set[str] = set()
-    summaries: dict[str, KernelSummary] = {}
     for launch in model.launches:  # type: ignore[attr-defined]
         name = launch.kernel
-        if name not in kernels:
-            continue
         if name not in summaries:
-            summaries[name] = interpret_kernel(kernels[name], macros)
+            continue
         env = _launch_env(launch)
         for site in classify_launch_sites(summaries[name], env):
             if site.space == "global" and site.param in launch.buffers:

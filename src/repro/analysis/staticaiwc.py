@@ -39,7 +39,8 @@ from .absint import (
     KernelSummary,
     OpEvent,
     _launch_env,
-    interpret_kernel,
+    interpret_kernel,  # noqa: F401  (wrapped by name by perfbench/layers.py)
+    kernel_summaries,
     static_footprint,
     sym_eval,
 )
@@ -373,12 +374,9 @@ class StaticCharacterization:
 
 def _interpret_model(model: object) -> tuple[
         dict[str, KernelDef], dict[str, KernelSummary]]:
-    """Parse and abstractly interpret every kernel of a launch model."""
-    kernels = {k.name: k for k in parse_source(model.source).kernels}  # type: ignore[attr-defined]
+    """Every kernel of a launch model and its summary (float macros)."""
     macros = {k: float(v) for k, v in dict(model.macros).items()}  # type: ignore[attr-defined]
-    summaries = {name: interpret_kernel(kernel, macros)
-                 for name, kernel in kernels.items()}
-    return kernels, summaries
+    return kernel_summaries(model.source, macros)  # type: ignore[attr-defined]
 
 
 def characterize_model(model: object, name: str = "kernel",

@@ -86,16 +86,18 @@ def interleaved(traces: list[np.ndarray]) -> np.ndarray:
     Shorter traces are exhausted first; remaining entries of longer
     traces follow in order.
     """
-    traces = [t for t in traces if len(t)]
+    traces = [np.asarray(t, dtype=np.int64) for t in traces if len(t)]
     if not traces:
         return np.empty(0, dtype=np.int64)
-    longest = max(len(t) for t in traces)
-    out = []
-    for i in range(longest):
-        for t in traces:
-            if i < len(t):
-                out.append(t[i])
-    return np.asarray(out, dtype=np.int64)
+    if len(traces) == 1:
+        return traces[0].copy()
+    flat = np.concatenate(traces)
+    # each element's index within its own trace; a stable sort on it
+    # keeps trace order among equal indices: round robin
+    lengths = np.array([len(t) for t in traces])
+    starts = np.cumsum(lengths) - lengths
+    within = np.arange(len(flat)) - np.repeat(starts, lengths)
+    return flat[np.argsort(within, kind="stable")]
 
 
 def offset_trace(trace: np.ndarray, base_address: int) -> np.ndarray:

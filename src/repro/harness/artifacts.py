@@ -36,7 +36,7 @@ import numpy as np
 
 from ..devices.specs import DeviceSpec
 from ..dwarfs.registry import get_benchmark
-from ..telemetry.metrics import default_registry
+from ..telemetry.metrics import count_memo_lookup
 from ..telemetry.tracer import get_tracer
 
 #: Stamp mixed into every artifact key; bump when the artifact layout
@@ -147,15 +147,6 @@ _memo: dict[str, CellArtifacts] = {}
 def clear_memo() -> None:
     """Drop the in-process artifact memo (tests)."""
     _memo.clear()
-
-
-def count_memo_lookup(memo: str, hit: bool) -> None:
-    """Bump the hit or miss counter of one in-process memo."""
-    name = "hits" if hit else "misses"
-    default_registry().counter(
-        f"harness_memo_{name}_total",
-        f"In-process memo lookups that {'hit' if hit else 'missed'}",
-    ).inc(memo=memo)
 
 
 def get_cell_artifacts(benchmark: str, size: str,

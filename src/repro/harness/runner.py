@@ -51,7 +51,7 @@ from ..perfmodel.roofline import TimeBreakdown
 from ..perfmodel.energy import mean_power_w
 from ..scibench.recorder import REGION_KERNEL, REGION_TRANSFER, Recorder
 from ..scibench.stats import SampleSummary, summarize
-from ..telemetry.metrics import default_registry
+from ..telemetry.metrics import count_memo_lookup, default_registry
 from ..telemetry.runlog import RunLog, get_default_runlog
 from ..telemetry.tracer import get_tracer
 
@@ -347,8 +347,6 @@ def _functional_record(cls: type[Benchmark], config: RunConfig,
     muted, so a trace's shape does not depend on the memo) and
     memoizes only a pass that raised nothing.
     """
-    from .artifacts import count_memo_lookup
-
     tracer = get_tracer()
     # the class is part of the key: a substituted registry entry of
     # the same name never reuses another class's record

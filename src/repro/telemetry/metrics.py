@@ -461,3 +461,12 @@ _default_registry = MetricsRegistry()
 def default_registry() -> MetricsRegistry:
     """The process-global registry built-in instrumentation reports to."""
     return _default_registry
+
+
+def count_memo_lookup(memo: str, hit: bool) -> None:
+    """Bump the hit or miss counter of one in-process memo."""
+    name = "hits" if hit else "misses"
+    default_registry().counter(
+        f"harness_memo_{name}_total",
+        f"In-process memo lookups that {'hit' if hit else 'missed'}",
+    ).inc(memo=memo)

@@ -2,8 +2,36 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.cache import trace
+from repro.dwarfs import registry
+
+
+def oracle_interleaved(traces):
+    """The per-element round-robin loop ``interleaved`` replaced."""
+    traces = [t for t in traces if len(t)]
+    if not traces:
+        return np.empty(0, dtype=np.int64)
+    longest = max(len(t) for t in traces)
+    out = []
+    for i in range(longest):
+        for t in traces:
+            if i < len(t):
+                out.append(t[i])
+    return np.asarray(out, dtype=np.int64)
+
+
+def oracle_build(spec, max_len, seed):
+    """``TraceSpec.build`` with the oracle interleaving."""
+    parts = [oracle_interleaved([c.build(max_len, seed) for c in group])
+             for group in spec.groups]
+    parts = [p for p in parts if len(p)]
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(parts)
 
 
 class TestSequential:
@@ -80,9 +108,38 @@ class TestComposition:
         assert len(trace.interleaved([])) == 0
         assert len(trace.interleaved([np.empty(0, np.int64)])) == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(hnp.arrays(np.int64, st.integers(0, 40),
+                               elements=st.integers(-2**63, 2**63 - 1)),
+                    max_size=6))
+    def test_interleaved_matches_the_loop(self, traces):
+        out = trace.interleaved(traces)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, oracle_interleaved(traces))
+
+    def test_interleaved_returns_a_new_array(self):
+        a = np.arange(4, dtype=np.int64)
+        out = trace.interleaved([a, np.empty(0, np.int64)])
+        out[0] = 99
+        assert a[0] == 0
+
     def test_offset(self):
         t = trace.offset_trace(np.array([0, 4], dtype=np.int64), 1000)
         assert t.tolist() == [1000, 1004]
 
     def test_offset_empty(self):
         assert len(trace.offset_trace(np.empty(0, np.int64), 10)) == 0
+
+
+@pytest.mark.parametrize("name", sorted({**registry.BENCHMARKS,
+                                         **registry.EXTENSIONS}))
+def test_every_spec_builds_as_with_the_loop(name):
+    cls = registry.get_benchmark(name)
+    for size in cls.available_sizes():
+        bench = cls.from_size(size)
+        spec = bench.trace_spec()
+        seed = getattr(bench, "seed", 0)
+        built = spec.build(seed=seed)
+        assert built.dtype == np.int64
+        np.testing.assert_array_equal(
+            built, oracle_build(spec, trace.DEFAULT_MAX_LEN, seed))
