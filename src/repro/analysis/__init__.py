@@ -8,13 +8,14 @@ sanitizer** that executes kernels against shadow-memory guards
 collected by a :class:`Report`; :func:`run_suite` drives the whole
 thing and backs the ``repro lint`` CLI subcommand.
 
-On top of the textual pass sits the **kernel IR** pipeline: an OpenCL
-C frontend (:mod:`repro.analysis.frontend`), per-kernel control-flow
-graphs with dominator analyses (:mod:`repro.analysis.cfg`), and an
-abstract interpreter deriving symbolic memory footprints
-(:mod:`repro.analysis.absint`).  :func:`run_deep_suite` (``repro lint
---deep``) layers the IR-exact checks and the §4.4 static-vs-runtime
-working-set verification on the shallow suite.
+Both the static lint and the deeper analyses run on the **kernel IR**
+pipeline: an OpenCL C frontend (:mod:`repro.analysis.frontend`),
+per-kernel control-flow graphs with dominator analyses
+(:mod:`repro.analysis.cfg`), and an abstract interpreter deriving
+symbolic memory footprints (:mod:`repro.analysis.absint`).
+:func:`run_deep_suite` (``repro lint --deep``) layers the checks that
+need launch models and the §4.4 static-vs-runtime working-set
+verification on the lint suite.
 
 See docs/analysis.md for the check catalogue, severity semantics,
 suppression directives and the JSON report schema.
@@ -49,7 +50,7 @@ from .findings import (
     default_severity,
     severity_rank,
 )
-from .frontend import CLSyntaxError, parse_source, strip_noncode, tokenize
+from .frontend import CLSyntaxError, parse_source, tokenize
 from .lint import lint_cl_source, lint_program
 from .sanitize import GuardedNDArray, Sanitizer, sanitized
 from .suite import DEFAULT_DEVICE, analyze_benchmark, run_suite
@@ -86,7 +87,6 @@ __all__ = [
     "sanitized",
     "severity_rank",
     "static_footprint",
-    "strip_noncode",
     "synthesize_trace",
     "tokenize",
     "trace_source",

@@ -602,23 +602,30 @@ class Guard:
 
     def feasible(self, env: dict[str, float]) -> bool:
         """Can any value pair in the operand ranges satisfy the guard?"""
-        a1 = sym_eval(self.lhs.lo, env)
-        a2 = sym_eval(self.lhs.hi, env)
-        b1 = sym_eval(self.rhs.lo, env)
-        b2 = sym_eval(self.rhs.hi, env)
-        if self.op == "==":
-            return max(a1, b1) <= min(a2, b2)
-        if self.op == "!=":
-            return not (a1 == a2 == b1 == b2)
-        if self.op == "<":
-            return a1 < b2
-        if self.op == "<=":
-            return a1 <= b2
-        if self.op == ">":
-            return a2 > b1
-        if self.op == ">=":
-            return a2 >= b1
-        return True
+        return guard_satisfiable(
+            self.op,
+            sym_eval(self.lhs.lo, env), sym_eval(self.lhs.hi, env),
+            sym_eval(self.rhs.lo, env), sym_eval(self.rhs.hi, env),
+        )
+
+
+def guard_satisfiable(op: str, a1: float, a2: float,
+                      b1: float, b2: float) -> bool:
+    """Can some ``a`` in ``[a1, a2]`` and ``b`` in ``[b1, b2]`` satisfy
+    ``a op b``?  Unknown operators are assumed satisfiable."""
+    if op == "==":
+        return max(a1, b1) <= min(a2, b2)
+    if op == "!=":
+        return not (a1 == a2 == b1 == b2)
+    if op == "<":
+        return a1 < b2
+    if op == "<=":
+        return a1 <= b2
+    if op == ">":
+        return a2 > b1
+    if op == ">=":
+        return a2 >= b1
+    return True
 
 
 _NEGATED_CMP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<",

@@ -67,7 +67,7 @@ from .absint import (
     stride_class,
     sym_eval,
 )
-from .findings import Finding, default_severity
+from .findings import Finding, default_severity, suppressed
 from .frontend import parse_source  # noqa: F401  (wrapped by name by perfbench/layers.py)
 
 #: Environment toggle selecting the trace provenance for the cache
@@ -398,7 +398,7 @@ def _race_findings(summary: KernelSummary, launch: object,
             hint: str) -> None:
         if (param, kind) in reported:
             return
-        if _suppressed(allows, "data-race", param):
+        if suppressed(allows, "data-race", param):
             return
         reported.add((param, kind))
         findings.append(Finding(
@@ -483,7 +483,7 @@ def _coalescing_findings(summary: KernelSummary, env: dict[str, float],
             continue
         if access.param in reported:
             continue
-        if _suppressed(allows, "uncoalesced-access", access.param):
+        if suppressed(allows, "uncoalesced-access", access.param):
             continue
         if not all(g.feasible(env) for g in access.guards):
             continue
@@ -524,7 +524,7 @@ def _bank_conflict_findings(summary: KernelSummary, env: dict[str, float],
             continue
         if access.param in reported:
             continue
-        if _suppressed(allows, "bank-conflict", access.param):
+        if suppressed(allows, "bank-conflict", access.param):
             continue
         if not all(g.feasible(env) for g in access.guards):
             continue
@@ -541,13 +541,6 @@ def _bank_conflict_findings(summary: KernelSummary, env: dict[str, float],
                  "consecutive work items hit consecutive banks",
         ))
     return findings
-
-
-def _suppressed(allows: set, check: str, name: str | None = None) -> bool:
-    """Whether ``// repro-lint: allow(...)`` covers this finding."""
-    return (check, None) in allows or (
-        name is not None and (check, name) in allows
-    )
 
 
 def access_model_findings(

@@ -6,19 +6,22 @@ ENTRY/EXIT nodes, on which the module computes dominators,
 post-dominators, reachability, and an *exact* barrier-divergence
 analysis.
 
-Barrier divergence is decided by control dependence rather than the
-PR 3 regex heuristic: a node is *divergently executed* iff it is
+Barrier divergence is decided by control dependence, not by the text
+around the barrier: a node is *divergently executed* iff it is
 control-dependent on a branch whose condition is work-item dependent
 (tainted by ``get_global_id``/``get_local_id``/``get_group_id`` or by a
 memory load), or on a branch that is itself divergently executed.  A
 ``barrier()`` that post-dominates both arms of a divergent ``if`` — the
 ``nw_diagonal`` pattern — is therefore correctly accepted, while a
-barrier *inside* the divergent arm is flagged.
+barrier in either arm is flagged.  Work items that have returned
+before any barrier are not waited for, so an early-exit guard
+(``if (gid >= n) return;``) does not make the barriers after it
+divergent.
 
 The module also hosts the AST-level dataflow checks that need no
 abstract domains: definite-assignment (``uninit-local-var``),
-constant-index bounds (``constant-index-oob``) and AST use-def for
-``unused-param``.
+constant-index bounds (``constant-index-oob``), AST use-def for
+``unused-param`` and the store targets behind ``constant-write``.
 """
 
 from __future__ import annotations
@@ -174,25 +177,20 @@ class CFG:
     # -- analyses -------------------------------------------------------
     def reachable(self) -> set[int]:
         """Node ids reachable from ENTRY."""
-        seen: set[int] = set()
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(self.nodes[node].succs)
-        return seen
+        return self.reachable_from(0)
 
     def dominators(self) -> dict[int, set[int]]:
         """Iterative dominator sets: ``dom[n]`` contains ``n``."""
         return self._dom_sets(root=0, forward=True)
 
-    def postdominators(self) -> dict[int, set[int]]:
-        """Iterative post-dominator sets over the reversed graph."""
-        return self._dom_sets(root=1, forward=False)
+    def _dom_sets(self, root: int, forward: bool,
+                  dont_care: frozenset[int] = frozenset(),
+                  ) -> dict[int, set[int]]:
+        """Iterative (post-)dominator sets.
 
-    def _dom_sets(self, root: int, forward: bool) -> dict[int, set[int]]:
+        Nodes in ``dont_care`` keep the full node set: they constrain
+        no meet, as if every node (post-)dominated them.
+        """
         everything = set(range(len(self.nodes)))
         dom = {n: set(everything) for n in everything}
         dom[root] = {root}
@@ -200,7 +198,7 @@ class CFG:
         while changed:
             changed = False
             for node in self.nodes:
-                if node.id == root:
+                if node.id == root or node.id in dont_care:
                     continue
                 edges = node.preds if forward else node.succs
                 incoming = [dom[p] for p in edges]
@@ -211,24 +209,56 @@ class CFG:
                     changed = True
         return dom
 
+    def reachable_from(self, start: int) -> set[int]:
+        """Node ids reachable from ``start`` (``start`` included)."""
+        seen: set[int] = set()
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            stack.extend(self.nodes[node].succs)
+        return seen
+
     def control_dependencies(self) -> dict[int, set[int]]:
         """Map node -> the branch nodes it is control-dependent on.
 
-        ``N`` is control-dependent on branch ``C`` iff ``N``
-        post-dominates some successor of ``C`` but does not strictly
-        post-dominate ``C`` itself (Ferrante et al.).
+        ``N`` is control-dependent on branch ``C`` iff ``N`` is
+        reachable from a successor of ``C`` and post-dominates it, but
+        does not strictly post-dominate ``C`` itself (Ferrante et al.).
+
+        A ``return`` that no barrier can reach — an exit taken before
+        any barrier — is don't-care in the post-dominator pass: a work
+        item that has returned is not waited for, so the path through
+        an early exit constrains no post-dominator set and
+        ``if (gid >= n) return; … barrier(…);`` leaves the barrier
+        control-independent of the guard.  A return after a barrier
+        (a trailing ``return;``, or one inside a loop that holds a
+        barrier) stays an ordinary exit, so it cannot hide a barrier in
+        a divergent arm.  A node whose every path takes an early exit
+        then "post-dominates" everything, hence the reachability
+        condition.
         """
-        pdom = self.postdominators()
+        after_barrier: set[int] = set()
+        for node in self.nodes:
+            if (node.stmt is not None
+                    and _contains_barrier(node.stmt) is not None):
+                for succ in node.succs:
+                    after_barrier |= self.reachable_from(succ)
+        early_exits = frozenset(
+            node.id for node in self.nodes
+            if isinstance(node.stmt, Return) and node.id not in after_barrier)
+        pdom = self._dom_sets(root=1, forward=False, dont_care=early_exits)
         deps: dict[int, set[int]] = {n.id: set() for n in self.nodes}
         for branch in self.nodes:
             if branch.kind != "branch" or len(branch.succs) < 2:
                 continue
             strict = pdom[branch.id] - {branch.id}
             for succ in branch.succs:
-                for node_id in range(len(self.nodes)):
-                    # N postdominates a successor of C but not C itself
-                    if node_id in pdom[succ] and node_id not in strict:
-                        deps[node_id].add(branch.id)
+                reach = self.reachable_from(succ)
+                for node_id in (pdom[succ] & reach) - strict:
+                    deps[node_id].add(branch.id)
         return deps
 
 
@@ -317,9 +347,8 @@ def walk_stmts(stmt: Stmt) -> list[Stmt]:
 def used_names(kernel: KernelDef) -> set[str]:
     """Every identifier the kernel body mentions (AST use-def).
 
-    Unlike the PR 3 regex this cannot be fooled by names inside
-    comments or string literals — those never become :class:`Ident`
-    nodes.
+    Names inside comments or string literals never become
+    :class:`Ident` nodes, so they are not uses.
     """
     names: set[str] = set()
     for stmt in walk_stmts(kernel.body):
@@ -327,6 +356,34 @@ def used_names(kernel: KernelDef) -> set[str]:
             for node in walk_expr(root):
                 if isinstance(node, Ident):
                     names.add(node.name)
+    return names
+
+
+def stored_through(kernel: KernelDef) -> set[str]:
+    """Names the kernel body stores through by subscript.
+
+    A store is an assignment (plain or compound) or a ``++``/``--``
+    whose target subscripts the name, through any parentheses, further
+    subscripts or member accesses: ``p[i] = …``, ``(p)[0] += …``,
+    ``p[idx[i]]++``, ``--p[i].x``.
+    """
+    names: set[str] = set()
+    for stmt in walk_stmts(kernel.body):
+        for root in stmt_exprs(stmt):
+            for node in walk_expr(root):
+                if isinstance(node, Assign):
+                    target = node.target
+                elif isinstance(node, Unary) and node.op in ("++", "--"):
+                    target = node.operand
+                else:
+                    continue
+                indexed = False
+                while isinstance(target, (Paren, Index, Member)):
+                    indexed = indexed or isinstance(target, Index)
+                    target = (target.inner if isinstance(target, Paren)
+                              else target.base)
+                if indexed and isinstance(target, Ident):
+                    names.add(target.name)
     return names
 
 

@@ -1,20 +1,19 @@
 """Deep (IR-exact) analysis: the engine behind ``repro lint --deep``.
 
-The shallow pass in :mod:`repro.analysis.lint` works on the kernel
-source *text* — fast, but its ``unused-param`` and
-``barrier-divergence`` checks are regex approximations.  This module
-re-implements both on the typed IR (:mod:`repro.analysis.frontend` →
-:mod:`repro.analysis.cfg`), adds checks only an IR can express
-(definite assignment, constant-index bounds, reachability,
-``reqd_work_group_size`` vs the host's enqueue), and runs the paper's
-§4.4 working-set verification: each benchmark's symbolic global-memory
-footprint (:mod:`repro.analysis.absint`) is cross-checked against its
-runtime ``footprint_bytes()`` at every size preset.
+The static lint in :mod:`repro.analysis.lint` already runs its
+kernel-body checks (``unused-param``, ``constant-write``,
+``barrier-divergence``) on the typed IR.  This module adds the other
+IR checks (definite assignment, reachability, constant-index bounds
+under the build macros, ``reqd_work_group_size`` vs the host's
+enqueue), the access-model checks, and the paper's §4.4 working-set
+verification: each benchmark's symbolic global-memory footprint
+(:mod:`repro.analysis.absint`) is cross-checked against its runtime
+``footprint_bytes()`` at every size preset.
 
-Deep mode *composes* with the shallow suite: :func:`run_deep_suite`
-runs the full lifecycle suite with the superseded regex checks
-ignored, then layers the IR findings and the footprint cross-check on
-top, so one report gates CI end to end.
+Deep mode *composes* with the lint suite: :func:`run_deep_suite` runs
+the full lifecycle suite, then layers the deep findings and the
+footprint cross-check on top, so one report gates CI end to end.
+Each check is emitted by one of the two passes, never both.
 """
 
 from __future__ import annotations
@@ -28,29 +27,10 @@ from .accessmodel import (
     compare_benchmark_traces,
     reuse_distance_summary,
 )
-from .cfg import (
-    constant_index_oob,
-    divergent_barriers,
-    uninitialized_uses,
-    unreachable_statements,
-    used_names,
-)
-from .findings import Finding, Report, default_severity
+from .cfg import constant_index_oob, uninitialized_uses, unreachable_statements
+from .findings import Finding, Report, default_severity, suppressed
 from .frontend import KernelDef, parse_source
 from .suite import DEFAULT_DEVICE, run_suite
-
-#: Shallow regex checks replaced by their IR-exact versions in deep
-#: mode (the regex findings are dropped from the composed report so a
-#: defect is never double-counted).
-SUPERSEDED_CHECKS = ("unused-param", "barrier-divergence")
-
-
-def _suppressed(allows: set, check: str, name: str | None = None) -> bool:
-    """Whether ``// repro-lint: allow(...)`` covers this finding."""
-    return (check, None) in allows or (
-        name is not None and (check, name) in allows
-    )
-
 
 def _int_macros(macros: dict[str, float]) -> dict[str, int]:
     """The integer-valued subset of a launch model's build macros."""
@@ -77,93 +57,60 @@ def deep_lint_kernel(
     macros: dict[str, int] | None = None,
     launch_locals: list[tuple[int, ...] | None] | None = None,
 ) -> list[Finding]:
-    """IR-exact checks for one parsed kernel.
+    """IR checks for one parsed kernel that the static lint does not run.
 
-    ``launch_locals`` lists the host's work-group size per enqueue of
-    this kernel (``None`` for the runtime default) and feeds the
-    ``reqd-work-group-size`` cross-check.  Kernels with an elided body
-    (documentation-only sources) skip the body-dependent checks.
+    ``macros`` feeds the constant-index bounds; ``launch_locals``
+    lists the host's work-group size per enqueue of this kernel
+    (``None`` for the runtime default) and feeds the
+    ``reqd-work-group-size`` cross-check.
     """
     findings: list[Finding] = []
     name = kernel.name
-    has_body = bool(kernel.body.stmts)
 
-    if has_body:
-        uses = used_names(kernel)
-        for index, param in enumerate(kernel.params):
-            if param.name in uses:
-                continue
-            if _suppressed(allows, "unused-param", param.name):
-                continue
+    if not suppressed(allows, "unreachable-code"):
+        for line in unreachable_statements(kernel):
             findings.append(Finding(
-                check="unused-param",
-                severity=default_severity("unused-param"),
-                benchmark=benchmark, kernel=name, argument=param.name,
-                location=f"argument {index}",
-                message=f"kernel parameter {param.name!r} is never used "
-                        "(IR use-def)",
-                hint="remove the parameter (and its host-side set_arg) or "
-                     "suppress with // repro-lint: allow(unused-param: "
-                     f"{param.name})",
-            ))
-
-        if not _suppressed(allows, "barrier-divergence"):
-            for line in divergent_barriers(kernel):
-                findings.append(Finding(
-                    check="barrier-divergence",
-                    severity=default_severity("barrier-divergence"),
-                    benchmark=benchmark, kernel=name,
-                    location=f"line {line}",
-                    message="barrier() is control-dependent on a "
-                            "work-item-variant branch; not every work item "
-                            "of a group reaches it (post-dominator exact)",
-                    hint="hoist the barrier out of the divergent branch",
-                ))
-
-        if not _suppressed(allows, "unreachable-code"):
-            for line in unreachable_statements(kernel):
-                findings.append(Finding(
-                    check="unreachable-code",
-                    severity=default_severity("unreachable-code"),
-                    benchmark=benchmark, kernel=name,
-                    location=f"line {line}",
-                    message="statement is unreachable from kernel entry",
-                    hint="delete the dead statement or fix the control flow "
-                         "above it",
-                ))
-
-        for var, line in uninitialized_uses(kernel):
-            if _suppressed(allows, "uninit-local-var", var):
-                continue
-            findings.append(Finding(
-                check="uninit-local-var",
-                severity=default_severity("uninit-local-var"),
-                benchmark=benchmark, kernel=name, argument=var,
+                check="unreachable-code",
+                severity=default_severity("unreachable-code"),
+                benchmark=benchmark, kernel=name,
                 location=f"line {line}",
-                message=f"local variable {var!r} may be read before any "
-                        "assignment",
-                hint="initialise the variable at its declaration",
+                message="statement is unreachable from kernel entry",
+                hint="delete the dead statement or fix the control flow "
+                     "above it",
             ))
 
-        for array, line, index_val, extent in constant_index_oob(
-            kernel, macros or {}
-        ):
-            if _suppressed(allows, "constant-index-oob", array):
-                continue
-            findings.append(Finding(
-                check="constant-index-oob",
-                severity=default_severity("constant-index-oob"),
-                benchmark=benchmark, kernel=name, argument=array,
-                location=f"line {line}",
-                message=f"constant subscript {index_val} is out of bounds "
-                        f"for local array {array!r} of extent {extent}",
-                hint="fix the index or grow the array",
-            ))
+    for var, line in uninitialized_uses(kernel):
+        if suppressed(allows, "uninit-local-var", var):
+            continue
+        findings.append(Finding(
+            check="uninit-local-var",
+            severity=default_severity("uninit-local-var"),
+            benchmark=benchmark, kernel=name, argument=var,
+            location=f"line {line}",
+            message=f"local variable {var!r} may be read before any "
+                    "assignment",
+            hint="initialise the variable at its declaration",
+        ))
+
+    for array, line, index_val, extent in constant_index_oob(
+        kernel, macros or {}
+    ):
+        if suppressed(allows, "constant-index-oob", array):
+            continue
+        findings.append(Finding(
+            check="constant-index-oob",
+            severity=default_severity("constant-index-oob"),
+            benchmark=benchmark, kernel=name, argument=array,
+            location=f"line {line}",
+            message=f"constant subscript {index_val} is out of bounds "
+                    f"for local array {array!r} of extent {extent}",
+            hint="fix the index or grow the array",
+        ))
 
     if (
         kernel.reqd_work_group_size is not None
         and launch_locals is not None
-        and not _suppressed(allows, "reqd-work-group-size")
+        and not suppressed(allows, "reqd-work-group-size")
     ):
         reqd = kernel.reqd_work_group_size
         for local in launch_locals:
@@ -199,15 +146,15 @@ def deep_lint_kernel(
 def deep_lint_model(
     model: StaticLaunchModel, benchmark: str | None = None
 ) -> list[Finding]:
-    """IR checks over every kernel of one static launch model."""
+    """IR checks over every kernel of one static launch model.
+
+    A source that fails to parse yields nothing here: the static lint
+    reports it as ``build-failure``.
+    """
     findings: list[Finding] = []
     try:
         program = parse_source(model.source)
-    except CLSourceError as exc:
-        findings.append(Finding(
-            check="build-failure", severity="error", benchmark=benchmark,
-            message=f"OpenCL C source failed to parse: {exc}",
-        ))
+    except CLSourceError:
         return findings
     suppressions = kernel_suppressions(model.source)
     macros = _int_macros(dict(model.macros))
@@ -299,12 +246,10 @@ def run_deep_suite(
     traces: bool = False,
     aiwc: bool = False,
 ) -> Report:
-    """Shallow suite plus IR checks plus the §4.4 footprint gate.
+    """Lint suite plus deep IR checks plus the §4.4 footprint gate.
 
-    The shallow pass runs with its regex ``unused-param`` and
-    ``barrier-divergence`` ignored (the IR versions subsume them); the
-    deep findings honour the caller's ``ignore`` the same way the
-    shallow ones do.  Per-benchmark stride classes, footprint
+    The deep findings honour the caller's ``ignore`` the same way the
+    lint suite's do.  Per-benchmark stride classes, footprint
     comparisons and reuse-distance summaries land in ``Report.extras``.
 
     ``traces`` adds the differential trace gate: for every benchmark
@@ -324,7 +269,7 @@ def run_deep_suite(
         size=size,
         sanitize=sanitize,
         device_name=device_name,
-        ignore=tuple(set(ignore) | set(SUPERSEDED_CHECKS)),
+        ignore=ignore,
         emit_metrics=emit_metrics,
     )
     if benchmarks is None:
@@ -337,21 +282,26 @@ def run_deep_suite(
     aiwc_differential: dict = {}
     for name in benchmarks:
         sizes = None if size is None else (size,)
-        findings, extras = deep_analyze_benchmark(name, sizes=sizes)
-        if traces:
-            trace_findings, table = compare_benchmark_traces(
-                name, sizes=sizes)
-            findings.extend(trace_findings)
-            if table:
-                differential[name] = table
-        if aiwc:
-            from .staticaiwc import compare_benchmark_aiwc
+        try:
+            findings, extras = deep_analyze_benchmark(name, sizes=sizes)
+            if traces:
+                trace_findings, table = compare_benchmark_traces(
+                    name, sizes=sizes)
+                findings.extend(trace_findings)
+                if table:
+                    differential[name] = table
+            if aiwc:
+                from .staticaiwc import compare_benchmark_aiwc
 
-            aiwc_findings, aiwc_table = compare_benchmark_aiwc(
-                name, sizes=sizes)
-            findings.extend(aiwc_findings)
-            if aiwc_table:
-                aiwc_differential[name] = aiwc_table
+                aiwc_findings, aiwc_table = compare_benchmark_aiwc(
+                    name, sizes=sizes)
+                findings.extend(aiwc_findings)
+                if aiwc_table:
+                    aiwc_differential[name] = aiwc_table
+        except CLSourceError:
+            # the IR gates need the parsed source; the lint suite has
+            # already reported the parse error as build-failure
+            continue
         for finding in findings:
             if finding.check not in ignored:
                 report.add(finding)

@@ -38,7 +38,7 @@ FAIL_ON_CHOICES = ("any",) + SEVERITIES
 #: from the map default to ``warning``; emitters may still override
 #: per finding (e.g. ``build-failure`` escalating a parse error).
 DEFAULT_SEVERITIES: dict[str, str] = {
-    # static lint (regex + IR)
+    # static lint (repro.analysis.lint)
     "build-failure": "error",
     "constant-write": "error",
     "local-from-global": "error",
@@ -73,6 +73,19 @@ DEFAULT_SEVERITIES: dict[str, str] = {
 def default_severity(check: str) -> str:
     """The schema-v2 default severity for a check identifier."""
     return DEFAULT_SEVERITIES.get(check, "warning")
+
+
+def suppressed(allows: set, check: str, name: str | None = None) -> bool:
+    """Whether a kernel's ``// repro-lint: allow(...)`` covers a finding.
+
+    ``allows`` is one kernel's entry of
+    :func:`~repro.ocl.clsource.kernel_suppressions`: ``(check, None)``
+    silences the check for the whole kernel, ``(check, name)`` only for
+    the parameter, variable or metric ``name``.
+    """
+    return (check, None) in allows or (
+        name is not None and (check, name) in allows
+    )
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .absint import (
     KernelSummary,
     OpEvent,
     _launch_env,
+    guard_satisfiable,
     interpret_kernel,  # noqa: F401  (wrapped by name by perfbench/layers.py)
     kernel_summaries,
     static_footprint,
@@ -119,12 +120,12 @@ def guard_fraction(guard: Guard, env: dict[str, float]) -> float:
     the left operand's integer span against the right operand's
     midpoint.
     """
-    if not guard.feasible(env):
-        return 0.0
     a1 = sym_eval(guard.lhs.lo, env)
     a2 = sym_eval(guard.lhs.hi, env)
     b1 = sym_eval(guard.rhs.lo, env)
     b2 = sym_eval(guard.rhs.hi, env)
+    if not guard_satisfiable(guard.op, a1, a2, b1, b2):
+        return 0.0
     if not (math.isfinite(a1) and math.isfinite(a2)):
         return 1.0
     span = a2 - a1 + 1.0

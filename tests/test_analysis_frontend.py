@@ -14,7 +14,6 @@ from repro.analysis.frontend import (
     CLSyntaxError,
     parse_source,
     print_program,
-    strip_noncode,
     token_texts,
     tokenize,
 )
@@ -80,29 +79,6 @@ class TestSyntaxErrors:
 
 
 # ---------------------------------------------------------------------------
-class TestStripNoncode:
-    def test_blanks_comments_preserving_positions(self):
-        src = "int a; // param x here\nint b; /* y */ int c;"
-        out = strip_noncode(src)
-        assert len(out) == len(src)
-        assert out.count("\n") == src.count("\n")
-        assert "x" not in out
-        assert "y" not in out
-        assert "int a;" in out and "int c;" in out
-
-    def test_blanks_string_literals(self):
-        out = strip_noncode('printf("uses param n"); int m;')
-        assert "param" not in out
-        assert "int m;" in out
-
-    def test_multiline_comment_keeps_newlines(self):
-        src = "a;\n/* one\ntwo\nthree */\nb;"
-        out = strip_noncode(src)
-        assert out.count("\n") == src.count("\n")
-        assert "two" not in out
-
-
-# ---------------------------------------------------------------------------
 class TestReqdWorkGroupSize:
     def test_attribute_parsed(self):
         src = ("__kernel __attribute__((reqd_work_group_size(64, 1, 1))) "
@@ -143,6 +119,55 @@ class TestCFGChecks:
             "  x[gid] = 1.0f;\n"
             "}")
         assert divergent_barriers(kernel) == [4]
+
+    @pytest.mark.parametrize("body,expected", [
+        # an early exit is not waited for: the barrier after it is clean
+        ("  if (gid >= n) return;\n"
+         "  x[gid] = 1.0f;\n"
+         "  barrier(CLK_GLOBAL_MEM_FENCE);\n", []),
+        # ... but a divergent if after the early exit still trips it
+        ("  if (gid >= n) return;\n"
+         "  if (gid < 16) {\n"
+         "    barrier(CLK_LOCAL_MEM_FENCE);\n"
+         "  }\n", [5]),
+        # a barrier that the returning arm reaches first
+        ("  if (gid < n) {\n"
+         "    barrier(CLK_LOCAL_MEM_FENCE);\n"
+         "    return;\n"
+         "  }\n"
+         "  x[gid] = 1.0f;\n", [4]),
+        # a gid-bounded loop
+        ("  for (int i = gid; i < n; i++)\n"
+         "    barrier(CLK_LOCAL_MEM_FENCE);\n", [4]),
+        # a return after a barrier is an ordinary exit: a trailing
+        # return hides no divergent barrier
+        ("  if (gid < 16) {\n"
+         "    barrier(CLK_LOCAL_MEM_FENCE);\n"
+         "  }\n"
+         "  return;\n", [4]),
+        ("  for (int i = gid; i < n; i++)\n"
+         "    barrier(CLK_LOCAL_MEM_FENCE);\n"
+         "  return;\n", [4]),
+        ("  if (gid >= n) return;\n"
+         "  if (gid < 16) {\n"
+         "    barrier(CLK_LOCAL_MEM_FENCE);\n"
+         "  }\n"
+         "  return;\n", [5]),
+        ("  if (gid >= n) return;\n"
+         "  x[gid] = 1.0f;\n"
+         "  barrier(CLK_GLOBAL_MEM_FENCE);\n"
+         "  return;\n", []),
+        # an exit in a loop that holds a barrier is reached after one
+        ("  for (int i = 0; i < n; i++) {\n"
+         "    barrier(CLK_LOCAL_MEM_FENCE);\n"
+         "    if (gid >= i) return;\n"
+         "  }\n", [4]),
+    ])
+    def test_divergence_around_early_exit(self, body, expected):
+        kernel = _kernel(
+            "__kernel void f(__global float *x, int n) {\n"
+            "  int gid = get_global_id(0);\n" + body + "}")
+        assert divergent_barriers(kernel) == expected
 
     def test_uniform_barrier_clean(self):
         kernel = _kernel(

@@ -10,9 +10,11 @@ from repro.analysis import (
     Report,
     lint_cl_source,
     lint_program,
+    run_deep_suite,
     run_suite,
     severity_rank,
 )
+from repro.dwarfs import kernels_cl
 from repro.harness.cli import main as cli_main
 from repro.ocl import KernelSource, Program
 
@@ -27,6 +29,19 @@ def by_check(findings, check):
 
 def _noop(nd, *args):
     pass
+
+
+# a helper function is outside the subset the kernel frontend parses
+HELPER_FN_SOURCE = (
+    "float sq(float v) { return v * v; }\n"
+    "__kernel void kmeans_assign(__global const float *features,\n"
+    "                            __global const float *clusters,\n"
+    "                            __global int *membership)\n"
+    "{\n"
+    "    const int point = get_global_id(0);\n"
+    "    membership[point] =\n"
+    "        (int)sq(features[point * N_FEATURES] + clusters[0]);\n"
+    "}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +148,21 @@ class TestStaticChecks:
         assert "unused-param" not in checks(findings)
 
     def test_constant_write(self):
-        findings = lint_cl_source(
-            "__kernel void f(__constant float *lut, __global float *y) {\n"
-            "  lut[get_global_id(0)] = 0.0f;\n"
-            "  y[0] = lut[0];\n"
-            "}")
-        hits = by_check(findings, "constant-write")
-        assert len(hits) == 1
-        assert hits[0].severity == "error"
-        assert hits[0].argument == "lut"
+        for store in (
+            "lut[get_global_id(0)] = 0.0f;",
+            "lut[idx[get_global_id(0)]] = 0;",  # nested subscript
+            "(lut)[0] = 1;",                    # parenthesised pointer
+        ):
+            findings = lint_cl_source(
+                "__kernel void f(__constant float *lut, __global float *y,\n"
+                "                __global const int *idx) {\n"
+                f"  {store}\n"
+                "  y[0] = lut[0] + idx[0];\n"
+                "}")
+            hits = by_check(findings, "constant-write")
+            assert len(hits) == 1, store
+            assert hits[0].severity == "error"
+            assert hits[0].argument == "lut"
 
     def test_constant_read_is_clean(self):
         findings = lint_cl_source(
@@ -156,17 +177,42 @@ class TestStaticChecks:
         assert "constant-write" in checks(findings)
 
     def test_barrier_in_divergent_if(self):
-        findings = lint_cl_source(
-            "__kernel void f(__global float *x) {\n"
-            "  int gid = get_global_id(0);\n"
+        for branch in (
             "  if (gid < 16) {\n"
             "    x[gid] *= 2.0f;\n"
             "    barrier(CLK_GLOBAL_MEM_FENCE);\n"
+            "  }\n",
+            # the barrier in the else arm
+            "  if (gid < 16) x[gid] *= 2.0f;\n"
+            "  else barrier(CLK_GLOBAL_MEM_FENCE);\n",
+            # the condition names no id builtin, only a value derived
+            # from one
+            "  int w = get_local_id(0) * 2;\n"
+            "  if (w < 16) barrier(CLK_GLOBAL_MEM_FENCE);\n",
+            # a trailing return, alone or after an early exit, hides
+            # nothing
+            "  if (gid < 16) {\n"
+            "    barrier(CLK_GLOBAL_MEM_FENCE);\n"
             "  }\n"
-            "}")
-        hits = by_check(findings, "barrier-divergence")
-        assert len(hits) == 1
-        assert hits[0].kernel == "f"
+            "  return;\n",
+            "  for (int i = gid; i < 64; i++)\n"
+            "    barrier(CLK_GLOBAL_MEM_FENCE);\n"
+            "  return;\n",
+            "  if (gid >= 64) return;\n"
+            "  if (gid < 16) barrier(CLK_GLOBAL_MEM_FENCE);\n"
+            "  return;\n",
+        ):
+            findings = lint_cl_source(
+                "__kernel void f(__global float *x) {\n"
+                "  int gid = get_global_id(0);\n" + branch + "}")
+            hits = by_check(findings, "barrier-divergence")
+            assert len(hits) == 1, branch
+            assert hits[0].kernel == "f"
+
+    def test_unparsable_source_is_one_build_failure(self):
+        findings = lint_cl_source(HELPER_FN_SOURCE)
+        assert [f.check for f in findings] == ["build-failure"]
+        assert findings[0].severity == "error"
 
     def test_barrier_after_early_exit_is_clean(self):
         findings = lint_cl_source(
@@ -296,6 +342,35 @@ class TestSuiteAndCLI:
         report = run_suite(benchmarks=["lud"], emit_metrics=False,
                            ignore=("missing-cl-source",))
         assert "missing-cl-source" not in {f.check for f in report}
+
+    def test_deep_suite_reports_each_check_once(self, monkeypatch):
+        """The lint suite and the deep pass never both emit a check."""
+        source = (
+            "__kernel void kmeans_assign(__global const float *features,\n"
+            "                            __global const float *clusters,\n"
+            "                            __global int *membership)\n"
+            "{\n"
+            "    const int point = get_global_id(0);\n"
+            "    if (point < 4) barrier(CLK_LOCAL_MEM_FENCE);\n"
+            "    membership[point] = (int)features[point * N_FEATURES];\n"
+            "}\n")
+        # kmeans reads its source at build time and in its launch model
+        monkeypatch.setattr(kernels_cl, "KMEANS_CL", source)
+        report = run_deep_suite(benchmarks=["kmeans"], size="tiny",
+                                emit_metrics=False)
+        unused = by_check(report, "unused-param")
+        divergent = by_check(report, "barrier-divergence")
+        assert [f.argument for f in unused] == ["clusters"]
+        assert [f.location for f in divergent] == ["line 6"]
+
+    def test_deep_suite_reports_build_failure_once(self, monkeypatch):
+        """An unparsable source is one build-failure, not a crash of the
+        IR gates that need the parsed source."""
+        monkeypatch.setattr(kernels_cl, "KMEANS_CL", HELPER_FN_SOURCE)
+        report = run_deep_suite(benchmarks=["kmeans"], size="tiny",
+                                emit_metrics=False, traces=True, aiwc=True)
+        assert [f.check for f in report] == ["build-failure"]
+        assert report.findings[0].benchmark == "kmeans"
 
     def test_cli_lint_exit_zero(self, capsys):
         assert cli_main(["lint", "--benchmark", "fft"]) == 0
